@@ -131,7 +131,7 @@ def cmd_check(args) -> int:
     t0 = time.perf_counter()
     for name in theorems:
         verdicts.extend(run_named_check(name, bundle, cfg, rho=rho,
-                                        option=args.option))
+                                        option=args.option, mode=args.mode))
     elapsed = time.perf_counter() - t0
     for v in verdicts:
         _print_verdict(v)
@@ -334,6 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--seed", type=int, default=_default_seed())
     pc.add_argument("--rho", default="linear:1")
     pc.add_argument("--option", choices=("a", "b", "c"), default="a")
+    pc.add_argument("--mode", choices=("prop2", "prop3"), default="prop2",
+                    help="completion proposition for --theorem invariance")
     pc.add_argument("--report")
     pc.add_argument("--workers", type=int, default=1)
     pc.set_defaults(fn=cmd_check)

@@ -48,28 +48,15 @@ def _parse_expr(text: str, n: int, k: int, constants: dict, where: str) -> ex.As
 def _field_from_expr(text: str, n: int, constants: dict, where: str,
                      smoothness: str = C1) -> ScalarField:
     ast = _parse_expr(text, n, 0, constants, where)
-    fn_xp = ex.compile_ast(ast)
-
-    def fn(x: np.ndarray, _f=fn_xp) -> float:
-        return _f(x, ())
-
-    grad_fns = []
-    smooth = True
-    for i in range(n):
-        d = ex.differentiate(ast, i)
-        if isinstance(d, ex.NonSmoothMarker):
-            smooth = False
-            break
-        grad_fns.append(ex.compile_ast(d))
-    grad = None
-    if smooth:
-        def grad(x: np.ndarray, _gs=tuple(grad_fns)) -> np.ndarray:
-            return np.array([g(x, ()) for g in _gs])
-
     if smoothness not in (C1, LIPSCHITZ):
         raise ConfigError(f"{where}: smoothness must be 'c1' or 'lipschitz', "
                           f"got {smoothness!r}")
-    return ScalarField(n=n, fn=fn, grad=grad, tag=smoothness, name=text)
+    value = ex.compile_ast(ast)
+    partials = [ex.differentiate(ast, i) for i in range(n)]
+    smooth = not any(isinstance(d, ex.NonSmoothMarker) for d in partials)
+    return ScalarField(n=n, fn=lambda x: value(x, ()),
+                       grad=ex.compile_vector(partials) if smooth else None,
+                       tag=smoothness, name=text)
 
 
 def _set_from_tree(tree, n: int, constants: dict, where: str) -> geo.Node:
@@ -102,12 +89,7 @@ def _map_from_exprs(exprs, n: int, k: int, constants: dict, where: str,
         raise ConfigError(f"{where}: expected {n} component expressions")
     asts = [_parse_expr(t, n, k, constants, f"{where}[{i}]")
             for i, t in enumerate(exprs)]
-    fns = [ex.compile_ast(a) for a in asts]
-
-    def fn(x: np.ndarray, lam: np.ndarray, _fns=tuple(fns)) -> np.ndarray:
-        return np.array([f(x, lam) for f in _fns])
-
-    return SetValuedMap(n=n, k=k, fn=fn, name=name)
+    return SetValuedMap(n=n, k=k, fn=ex.compile_vector(asts), name=name)
 
 
 def system_from_dict(doc: dict, source: str = "<dict>") -> SystemBundle:

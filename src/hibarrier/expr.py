@@ -15,8 +15,11 @@ or one of the functions min, max, abs, sqrt, exp, log, sgn.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 __all__ = [
     "Diagnostic",
@@ -26,6 +29,7 @@ __all__ = [
     "parse",
     "evaluate",
     "compile_ast",
+    "compile_vector",
     "differentiate",
     "depends_on",
     "to_text",
@@ -356,11 +360,15 @@ def _sgn(v: float) -> float:
     return 0.0
 
 
+def _safe_exp(v: float) -> float:
+    return math.exp(v) if v < 709.0 else math.inf
+
+
 _UNARY_FNS: dict[str, Callable[[float], float]] = {
     "neg": lambda v: -v,
     "abs": abs,
     "sqrt": _safe_sqrt,
-    "exp": lambda v: math.exp(v) if v < 709.0 else math.inf,
+    "exp": _safe_exp,
     "log": _safe_log,
     "sgn": _sgn,
 }
@@ -375,31 +383,81 @@ _BINARY_FNS: dict[str, Callable[[float, float], float]] = {
     "max": max,
 }
 
+# Code templates for the generated evaluators; each names the helper it calls.
+_UNARY_CODE = {"neg": "-{}", "abs": "abs({})", "sqrt": "_safe_sqrt({})",
+               "exp": "_safe_exp({})", "log": "_safe_log({})", "sgn": "_sgn({})"}
+_BINARY_CODE = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
+                "/": "_safe_div({}, {})", "^": "_safe_pow({}, {})",
+                "min": "min({}, {})", "max": "max({}, {})"}
+
+
+class _Emitter:
+    """Straight-line SSA code for ASTs: one `tN = ...` per distinct node,
+    children first, left before right. Literals are bound in the namespace by
+    their exact bits (so 0.0 and -0.0 stay apart), and a node that recurs in
+    the same function is computed once."""
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.namespace: dict[str, object] = {
+            "_safe_sqrt": _safe_sqrt, "_safe_exp": _safe_exp, "_safe_log": _safe_log,
+            "_sgn": _sgn, "_safe_div": _safe_div, "_safe_pow": _safe_pow,
+            "_array": np.array}
+        self.names: dict[tuple, str] = {}
+
+    def _assign(self, key: tuple, code: str) -> str:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = {code}")
+        self.names[key] = name
+        return name
+
+    def emit(self, ast: Ast) -> str:
+        """The name holding `ast`'s value once the emitted lines have run."""
+        if isinstance(ast, (Lit, Const)):
+            key = ("c", struct.pack("<d", ast.value))
+            if key not in self.names:
+                name = f"c{len(self.names)}"
+                self.namespace[name] = float(ast.value)
+                self.names[key] = name
+            return self.names[key]
+        if isinstance(ast, Var):
+            key = ("x", ast.index)
+            return self.names.get(key) or self._assign(key, f"float(x[{ast.index}])")
+        if isinstance(ast, Param):
+            key = ("p", ast.index)
+            return self.names.get(key) or self._assign(key, f"float(p[{ast.index}])")
+        if isinstance(ast, Un):
+            arg = self.emit(ast.arg)
+            key = (ast.op, arg)
+            return self.names.get(key) or self._assign(key, _UNARY_CODE[ast.op].format(arg))
+        if isinstance(ast, Bin):
+            left = self.emit(ast.left)
+            right = self.emit(ast.right)
+            key = (ast.op, left, right)
+            return self.names.get(key) or self._assign(
+                key, _BINARY_CODE[ast.op].format(left, right))
+        raise TypeError(f"not an Ast node: {ast!r}")
+
+    def function(self, params: str, result: str) -> Callable:
+        source = "\n".join([f"def f({params}):", *self.lines, f"    return {result}", ""])
+        exec(compile(source, "<hibarrier.expr>", "exec"), self.namespace)
+        return self.namespace["f"]
+
 
 def compile_ast(ast: Ast) -> Callable[[Sequence[float], Sequence[float]], float]:
-    """Compile to a closure f(x, p) -> float; faster than a tree walk per eval."""
-    if isinstance(ast, Lit):
-        v = ast.value
-        return lambda x, p: v
-    if isinstance(ast, Const):
-        v = ast.value
-        return lambda x, p: v
-    if isinstance(ast, Var):
-        i = ast.index
-        return lambda x, p: float(x[i])
-    if isinstance(ast, Param):
-        j = ast.index
-        return lambda x, p: float(p[j])
-    if isinstance(ast, Un):
-        fn = _UNARY_FNS[ast.op]
-        arg = compile_ast(ast.arg)
-        return lambda x, p: fn(arg(x, p))
-    if isinstance(ast, Bin):
-        fn = _BINARY_FNS[ast.op]
-        left = compile_ast(ast.left)
-        right = compile_ast(ast.right)
-        return lambda x, p: fn(left(x, p), right(x, p))
-    raise TypeError(f"not an Ast node: {ast!r}")
+    """Compile to one generated function f(x, p) -> float."""
+    em = _Emitter()
+    return em.function("x, p", em.emit(ast))
+
+
+def compile_vector(asts: Sequence[Ast]) -> Callable[[Sequence[float], Sequence[float]],
+                                                     np.ndarray]:
+    """Compile several ASTs (a gradient's partials, a map's components) into
+    one generated function f(x, p=()) -> np.array of their values, in order.
+    Each component equals compile_ast(component)(x, p)."""
+    em = _Emitter()
+    results = [em.emit(a) for a in asts]
+    return em.function("x, p=()", f"_array([{', '.join(results)}])")
 
 
 def evaluate(ast: Ast, x: Sequence[float], p: Sequence[float] = ()) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -59,7 +60,7 @@ class ScalarField:
 
     def value_checked(self, x: np.ndarray) -> float:
         v = float(self.fn(x))
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise EvaluationError(f"field {self.name or '<anon>'} is non-finite", x)
         return v
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -86,40 +87,54 @@ class Union:
 
 Node = Leaf | Intersection | Union
 
-_RANK = {Membership.INSIDE: 0, Membership.BOUNDARY: 1, Membership.OUTSIDE: 2}
+_MEMBERSHIP = (Membership.INSIDE, Membership.BOUNDARY, Membership.OUTSIDE)
 
 
-def _classify_node(node: Node, x: np.ndarray, tol: float,
-                   strict_tol: float) -> Membership:
-    if isinstance(node, Leaf):
-        v = node.constraint.value_checked(x)
-        eff = strict_tol if node.strict else tol
-        if eff == 0.0 and node.strict:
-            return Membership.INSIDE if v < 0.0 else Membership.OUTSIDE
-        if v < -eff:
-            return Membership.INSIDE
-        if v > eff:
-            return Membership.OUTSIDE
-        return Membership.BOUNDARY
-    if isinstance(node, Intersection):
-        worst = Membership.INSIDE
+def _compile_classifier(root: Node):
+    """One generated function f(x, tol, strict_tol) -> rank, where ranks 0, 1,
+    2 index _MEMBERSHIP. Leaves are evaluated in tree order through their
+    value_checked; an intersection stops at its first outside child, a union
+    at its first inside one. A child of the same kind as its parent is
+    spliced in (the same leaves in the same order, the same stopping point);
+    every other inner node gets its own function."""
+    namespace: dict[str, object] = {}
+    sources: list[str] = []
+
+    def leaf_lines(leaf: Leaf) -> list[str]:
+        vc = f"vc{len(namespace)}"
+        namespace[vc] = leaf.constraint.value_checked
+        rank = ("(0 if v < 0.0 else 2) if st == 0.0 else (0 if v < -st else 2 if v > st else 1)"
+                if leaf.strict else "0 if v < -tol else 2 if v > tol else 1")
+        return [f"    v = {vc}(x)", f"    r = {rank}"]
+
+    def children(node: Node) -> list[Node]:
+        out: list[Node] = []
         for child in node.children:
-            m = _classify_node(child, x, tol, strict_tol)
-            if _RANK[m] > _RANK[worst]:
-                worst = m
-            if worst == Membership.OUTSIDE:
-                return worst
-        return worst
-    if isinstance(node, Union):
-        best = Membership.OUTSIDE
-        for child in node.children:
-            m = _classify_node(child, x, tol, strict_tol)
-            if _RANK[m] < _RANK[best]:
-                best = m
-            if best == Membership.INSIDE:
-                return best
-        return best
-    raise TypeError(f"not a set node: {node!r}")
+            out.extend(children(child) if type(child) is type(node) else [child])
+        return out
+
+    def node_function(node: Node) -> str:
+        if isinstance(node, Leaf):
+            body = leaf_lines(node) + ["    return r"]
+        elif isinstance(node, (Intersection, Union)):
+            stop, better = (2, ">") if isinstance(node, Intersection) else (0, "<")
+            body = [f"    w = {2 - stop}"]
+            for child in children(node):
+                body += (leaf_lines(child) if isinstance(child, Leaf)
+                         else [f"    r = {node_function(child)}(x, tol, st)"])
+                body += [f"    if r {better} w:", f"        if r == {stop}:",
+                         f"            return {stop}", "        w = r"]
+            body.append("    return w")
+        else:
+            raise TypeError(f"not a set node: {node!r}")
+        name = f"node{len(sources)}"
+        sources.append("\n".join([f"def {name}(x, tol, st):", *body]))
+        return name
+
+    entry = node_function(root)
+    exec(compile("\n\n".join(sources) + "\n", "<hibarrier.geometry classifier>", "exec"),
+         namespace)
+    return namespace[entry]
 
 
 def _value_node(node: Node, x: np.ndarray) -> float:
@@ -175,13 +190,23 @@ class SetDescription:
         if tol < 0:
             raise PreconditionError("tol must be >= 0")
         st = tol if strict_tol is None else strict_tol
-        return _classify_node(self.root, np.asarray(x, dtype=float), tol, st)
+        return _MEMBERSHIP[self._classifier(np.asarray(x, dtype=float), tol, st)]
+
+    @cached_property
+    def _classifier(self):
+        return _compile_classifier(self.root)
 
     def value(self, x: Sequence[float] | np.ndarray) -> float:
         """Signed level proxy by min/max composition (<=0 on the closure)."""
         return _value_node(self.root, np.asarray(x, dtype=float))
 
     def closure(self) -> "SetDescription":
+        """The set with every strict leaf made closed; built once and kept,
+        so its compiled classifier is shared by every caller."""
+        return self._closure
+
+    @cached_property
+    def _closure(self) -> "SetDescription":
         return SetDescription(self.n, _closure_node(self.root), self.name)
 
     def dnf(self) -> list[tuple[Leaf, ...]]:
@@ -259,17 +284,26 @@ def _polish_active(leaves: Sequence[Leaf], y: np.ndarray, feas_tol: float) -> np
     return y
 
 
+def term_constraint(leaves: Sequence[Leaf]) -> dict:
+    """One SLSQP inequality constraint for an intersection of leaves: the
+    vector of -c_j(y) (>= 0 inside) and its Jacobian, rows in leaf order."""
+    fields = [leaf.constraint for leaf in leaves]
+
+    def fun(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y)
+        return -np.array([c.value_checked(y) for c in fields])
+
+    def jac(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y)
+        return -np.array([gradient(c, y) for c in fields])
+
+    return {"type": "ineq", "fun": fun, "jac": jac}
+
+
 def _project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray],
                   feas_tol: float, maxiter: int) -> tuple[np.ndarray, float] | None:
     """Closest point to z on the intersection of leaf sublevel sets, or None."""
-    constraints = [
-        {
-            "type": "ineq",
-            "fun": (lambda y, c=leaf.constraint: -c.value_checked(np.asarray(y))),
-            "jac": (lambda y, c=leaf.constraint: -gradient(c, np.asarray(y))),
-        }
-        for leaf in leaves
-    ]
+    constraints = [term_constraint(leaves)]
 
     def objective(y: np.ndarray) -> float:
         d = y - z

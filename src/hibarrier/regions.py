@@ -213,8 +213,10 @@ def region_b(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
     if not anchors:
         return []
     rng = rng_for(seed, "region-b")
+    # anchors lie only within `band` of dC, so each is checked against C too
     out: list[np.ndarray] = [a for a in anchors[:max(2, n // 4)]
-                             if kc.K_e.classify(a, _IN_C_TOL) != geo.Membership.OUTSIDE]
+                             if kc.K_e.classify(a, _IN_C_TOL) != geo.Membership.OUTSIDE
+                             and H.C.classify(a, _IN_C_TOL) != geo.Membership.OUTSIDE]
     attempts = 0
     while len(out) < n and attempts < 20 * n:
         attempts += 1
@@ -277,14 +279,7 @@ def _strict_leaf_targets(kc: KComplex, H: HybridSystem, box: np.ndarray,
     strict = [leaf for leaf in H.D.leaves() if leaf.strict]
     if not strict or not starts:
         return out
-    cons = [
-        {
-            "type": "ineq",
-            "fun": (lambda y, c=leaf.constraint: -c.value_checked(np.asarray(y))),
-            "jac": (lambda y, c=leaf.constraint: -gradient(c, np.asarray(y))),
-        }
-        for leaf in kc.K_e.leaves()
-    ]
+    cons = [geo.term_constraint(kc.K_e.leaves())]
     for leaf in strict:
         c = leaf.constraint
 

@@ -417,7 +417,8 @@ class FalsifyResult:
 def _start_points(kc: KComplex, box, n: int, band: float, seed: int) -> list[np.ndarray]:
     n_boundary = max(1, n // 2)
     pts = list(kc.sample_boundary_k(box, n_boundary, band, seed=seed).points)
-    pts.extend(kc.sample_k(box, n - len(pts), seed=seed ^ 0x5EED).points)
+    if len(pts) < n:
+        pts.extend(kc.sample_k(box, n - len(pts), seed=seed ^ 0x5EED).points)
     return pts[:n]
 
 

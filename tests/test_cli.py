@@ -145,6 +145,51 @@ def test_falsify_contractivity_modes(emitted):
                  "--tau", "0.05"]) == 0
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_falsify_budget_one(emitted, tmp_path, seed):
+    # the one start comes from the boundary of K; no interior start is asked for
+    cfg = emitted("thermostat")
+    report = tmp_path / "rep.json"
+    code = main(["falsify", str(cfg), "--budget", "1", "--horizon", "1,2",
+                 "--seed", seed, "--report", str(report)])
+    assert code == 0
+    assert json.loads(report.read_text())["stats"]["starts"] == 1
+
+
+def test_check_invariance_mode_flag(emitted, tmp_path):
+    # bouncing-ball's catalog expectation is invariance under prop3
+    cfg = emitted("bouncing-ball")
+    names = {}
+    for mode in ("prop2", "prop3", None):
+        report = tmp_path / f"{mode}.json"
+        argv = ["check", str(cfg), "--theorem", "invariance", "--samples", "16",
+                "--seed", "0", "--report", str(report)]
+        assert main(argv + (["--mode", mode] if mode else [])) == 0
+        (check,) = json.loads(report.read_text())["checks"]
+        assert check["status"] == "no_violation_found"
+        names[mode] = check["check"]
+    assert names == {"prop2": "invariance:prop2", "prop3": "invariance:prop3",
+                     None: "invariance:prop2"}
+    assert main(["check", str(cfg), "--theorem", "invariance", "--mode", "prop4"]) == 3
+
+
+def test_boundary_option_b_points_lie_in_c(emitted, tmp_path):
+    # region_b's anchors lie only near dC; each one kept must be in C
+    from hibarrier.config import load_system
+    from hibarrier.geometry import Membership
+
+    cfg = emitted("expcount")
+    report = tmp_path / "rep.json"
+    code = main(["check", str(cfg), "--theorem", "boundary", "--option", "b",
+                 "--samples", "20", "--seed", "0", "--report", str(report)])
+    assert code == 1
+    (check,) = json.loads(report.read_text())["checks"]
+    xs = [e["x"] for e in check["evaluations"] if e["condition"] == "boundary:b:eqraj2"]
+    assert xs
+    C = load_system(cfg).system.C
+    assert all(C.classify(x, 1e-6) != Membership.OUTSIDE for x in xs)
+
+
 def test_usage_error_exit_three():
     assert main(["check"]) == 3
     assert main(["frobnicate"]) == 3
