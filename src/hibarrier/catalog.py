@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 
-from .config import SystemBundle, system_from_dict
+from .config import ConfigError, SystemBundle, system_from_dict
 
 __all__ = ["EXAMPLE_IDS", "example_config", "example_bundle"]
 
@@ -274,7 +274,7 @@ EXAMPLE_IDS = tuple(_BUILDERS)
 
 def example_config(name: str) -> dict:
     if name not in _BUILDERS:
-        raise KeyError(f"unknown example {name!r}; known: {', '.join(EXAMPLE_IDS)}")
+        raise ConfigError(f"unknown example {name!r}; known: {', '.join(EXAMPLE_IDS)}")
     return copy.deepcopy(_BUILDERS[name]())
 
 

@@ -8,7 +8,6 @@ Inconclusive records what prevented a call either way.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Callable
 
@@ -44,9 +43,6 @@ NO_VIOLATION = "no_violation_found"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
 
-C1 = "c1"
-LIPSCHITZ = "lipschitz"
-
 _HULL_VERTEX_CAP = 3  # parameter count above which vertex enumeration is skipped
 
 
@@ -68,7 +64,6 @@ class CheckConfig:
     cone_hmin: float = 1e-6
     clarke_radius: float = 1e-4
     clarke_count: int = 64
-    workers: int = 1
     lipschitz_pairs: str = "projection"  # or "random"
 
     def __post_init__(self):
@@ -164,13 +159,6 @@ class _Collector:
         self.inconclusive = True
         self.note(why)
 
-    def merge(self, other: "_Collector") -> None:
-        self.evaluations.extend(other.evaluations)
-        for f in other.flags:
-            self.flag(f)
-        self.notes.extend(other.notes)
-        self.inconclusive = self.inconclusive or other.inconclusive
-
     def finish(self, check: str, cfg: CheckConfig) -> Verdict:
         witnesses = sorted(
             (e for e in self.evaluations if e.violated),
@@ -234,19 +222,6 @@ class UniquenessFunction:
 
 # ---------------------------------------------------------------------------
 # Shared pieces
-
-
-def _run_tasks(tasks: list[Callable[[], "_Collector"]], col: "_Collector",
-               workers: int) -> None:
-    """Run independent collector-producing tasks and merge them in task order,
-    so the verdict is identical for any worker count."""
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda fn: fn(), tasks))
-    else:
-        parts = [fn() for fn in tasks]
-    for part in parts:
-        col.merge(part)
 
 
 def _require_c1(B: BarrierCandidate) -> None:
@@ -321,18 +296,12 @@ def check_thm1(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) -> Verdic
     kc = build_k_complex(H, B)
     col = _Collector()
     box = cfg.box_array()
-
-    def flow_leg(i: int) -> _Collector:
-        part = _Collector()
-        pts = regions.m_band(kc, H, i, box, cfg.samples, cfg.radius, cfg.band,
-                             seed=cfg.seed)
-        for x in pts:
-            for eta in _filtered_images(H, x, cfg, part):
+    for i in range(B.m):
+        for x in regions.m_band(kc, H, i, box, cfg.samples, cfg.radius, cfg.band,
+                                seed=cfg.seed):
+            for eta in _filtered_images(H, x, cfg, col):
                 val = float(gradient(B.components[i], x) @ eta)
-                part.add(f"thm1:flow:B{i + 1}", x, val, cfg.tol_eq, eta=eta)
-        return part
-
-    _run_tasks([lambda i=i: flow_leg(i) for i in range(B.m)], col, cfg.workers)
+                col.add(f"thm1:flow:B{i + 1}", x, val, cfg.tol_eq, eta=eta)
     _jump_legs(col, kc, H, cfg, strict=False, prefix="thm1")
     return col.finish("thm1", cfg)
 
@@ -385,7 +354,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
                 pair_targets.append((x, ys[int(rng.integers(len(ys)))]))
     for x in band_pts:
         try:
-            y = geo.project(kc_c, x, starts=8, seed=cfg.seed)
+            y, _ = geo.project(kc_c, x, starts=8, seed=cfg.seed)
         except geo.NonConvergence:
             col.mark_inconclusive(f"projection onto d(K cap C) failed at {x.tolist()}")
             continue
@@ -439,8 +408,11 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
             if not convex_ok:
                 break
         if convex_ok:
+            # anchors lie only within `band` of dC, so each is checked against C too
             for x in regions.anchors_ke_dc(kc, H, box, cfg.samples, cfg.band,
                                            seed=cfg.seed):
+                if not regions._in_ke_cap_c(kc, H, x):
+                    continue
                 for eta in image_samples(H.F, x, cfg.scheme):
                     ratio = _tangent_ratio(kc_c, x, eta, cfg, col)
                     if ratio is None:

@@ -40,8 +40,7 @@ def _build_config(bundle: SystemBundle, args) -> cert.CheckConfig:
     return cert.CheckConfig(
         box=tuple(tuple(r) for r in bundle.box.tolist()),
         radius=args.radius, band=args.band, samples=args.samples,
-        tol_eq=args.tol, margin_strict=args.margin, seed=args.seed,
-        workers=args.workers)
+        tol_eq=args.tol, margin_strict=args.margin, seed=args.seed)
 
 
 def run_named_check(name: str, bundle: SystemBundle, cfg: cert.CheckConfig, *,
@@ -208,7 +207,7 @@ def cmd_falsify(args) -> int:
     extra: dict = {"mode": args.mode}
     if args.mode == "invariance":
         result = sim.falsify_invariance(bundle.system, kc, budget, box=bundle.box,
-                                        seed=args.seed, workers=args.workers)
+                                        seed=args.seed)
         found = result.found
         if found:
             sc = result.scenario
@@ -226,8 +225,7 @@ def cmd_falsify(args) -> int:
         extra["stats"] = result.stats
     else:
         result = sim.probe_contractivity(bundle.system, kc, budget, args.tau,
-                                         box=bundle.box, seed=args.seed,
-                                         workers=args.workers)
+                                         box=bundle.box, seed=args.seed)
         found = result.lingering
         if found:
             print(f"boundary lingering from {result.witness_start.tolist()}: "
@@ -246,13 +244,13 @@ def cmd_falsify(args) -> int:
     return EXIT_VIOLATED if found else EXIT_OK
 
 
-def _run_expected(bundle: SystemBundle, seed: int, workers: int) -> tuple[bool, list[str]]:
+def _run_expected(bundle: SystemBundle, seed: int) -> tuple[bool, list[str]]:
     expected = bundle.expected
     lines: list[str] = []
     ok = True
     samples = int(expected.get("samples", 32))
     cfg = cert.CheckConfig(box=tuple(tuple(r) for r in bundle.box.tolist()),
-                           samples=samples, seed=seed, workers=workers)
+                           samples=samples, seed=seed)
     for spec in expected.get("checks", []):
         name = spec["theorem"]
         rho = cert.UniquenessFunction.parse(spec.get("rho", "linear:1"))
@@ -274,12 +272,12 @@ def _run_expected(bundle: SystemBundle, seed: int, workers: int) -> tuple[bool, 
         budget = sim.FalsifyBudget(starts=int(fal.get("starts", 24)), horizon=horizon)
         if fal["mode"] == "invariance":
             res = sim.falsify_invariance(bundle.system, kc, budget, box=bundle.box,
-                                         seed=seed, workers=workers)
+                                         seed=seed)
             outcome = "counterexample" if res.found else "none"
         else:
             res = sim.probe_contractivity(bundle.system, kc, budget,
                                           float(fal.get("tau_probe", 0.05)),
-                                          box=bundle.box, seed=seed, workers=workers)
+                                          box=bundle.box, seed=seed)
             outcome = "counterexample" if res.lingering else "none"
         good = outcome == fal["outcome"]
         ok = ok and good
@@ -306,7 +304,7 @@ def cmd_examples(args) -> int:
     bundle = catalog.example_bundle(args.name)
     for note in bundle.notes:
         print(f"note: {note}")
-    ok, lines = _run_expected(bundle, args.seed, args.workers)
+    ok, lines = _run_expected(bundle, args.seed)
     print(f"{args.name}:")
     for line in lines:
         print(line)
@@ -337,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mode", choices=("prop2", "prop3"), default="prop2",
                     help="completion proposition for --theorem invariance")
     pc.add_argument("--report")
-    pc.add_argument("--workers", type=int, default=1)
     pc.set_defaults(fn=cmd_check)
 
     ps = sub.add_parser("simulate", help="compute one hybrid solution candidate")
@@ -363,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="contractivity probe window")
     pf.add_argument("--report")
     pf.add_argument("--witness", help="write the counterexample arc CSV here")
-    pf.add_argument("--workers", type=int, default=1)
     pf.set_defaults(fn=cmd_falsify)
 
     pe = sub.add_parser("examples", help="list, run, or emit the built-in catalog")
@@ -371,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("name", nargs="?")
     pe.add_argument("--dir")
     pe.add_argument("--seed", type=int, default=_default_seed())
-    pe.add_argument("--workers", type=int, default=1)
     pe.set_defaults(fn=cmd_examples)
     return parser
 
@@ -384,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (ConfigError, geo.PreconditionError, BudgetError, KeyError) as e:
+    except (ConfigError, geo.PreconditionError, BudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (geo.NonConvergence, EvaluationError) as e:

@@ -10,13 +10,10 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
-from .fields import ScalarField, SetValuedMap
+from .fields import C1, LIPSCHITZ, ScalarField, SetValuedMap
 from .model import BarrierCandidate, HybridSystem
 
 __all__ = ["ConfigError", "SystemBundle", "load_system", "system_from_dict"]
-
-C1 = "c1"
-LIPSCHITZ = "lipschitz"
 
 
 class ConfigError(ValueError):
@@ -39,6 +36,8 @@ class SystemBundle:
 
 
 def _parse_expr(text: str, n: int, k: int, constants: dict, where: str) -> ex.Ast:
+    if not isinstance(text, str):
+        raise ConfigError(f"{where}: expected an expression string, got {text!r}")
     try:
         return ex.parse(text, n, k, constants)
     except ex.ExprError as e:
@@ -101,10 +100,20 @@ def system_from_dict(doc: dict, source: str = "<dict>") -> SystemBundle:
         raise ConfigError(f"{source}: missing or invalid 'dim'")
     if n < 1:
         raise ConfigError(f"{source}: 'dim' must be >= 1")
-    constants = {str(k): float(v) for k, v in doc.get("constants", {}).items()}
-    k = int(doc.get("params", 0))
+    try:
+        constants = {str(k): float(v) for k, v in doc.get("constants", {}).items()}
+    except (AttributeError, TypeError, ValueError):
+        raise ConfigError(f"{source}: 'constants' must map names to numbers")
+    try:
+        k = int(doc.get("params", 0))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{source}: 'params' must be an integer")
     if k < 0:
         raise ConfigError(f"{source}: 'params' must be >= 0")
+    if not isinstance(doc.get("notes", []), list):
+        raise ConfigError(f"{source}: 'notes' must be an array")
+    if not isinstance(doc.get("expected", {}), dict):
+        raise ConfigError(f"{source}: 'expected' must be an object")
     for key in ("C", "D", "F", "G", "barrier", "box"):
         if key not in doc:
             raise ConfigError(f"{source}: missing '{key}'")
@@ -131,7 +140,10 @@ def system_from_dict(doc: dict, source: str = "<dict>") -> SystemBundle:
         comps.append(_field_from_expr(text, n, constants, f"barrier[{i}]", smooth))
     barrier = BarrierCandidate(tuple(comps))
 
-    box = np.asarray(doc["box"], dtype=float)
+    try:
+        box = np.asarray(doc["box"], dtype=float)
+    except (TypeError, ValueError):
+        box = np.empty(0)  # ragged or not numeric: fails the shape check below
     if box.shape != (n, 2) or np.any(box[:, 1] <= box[:, 0]):
         raise ConfigError(f"{source}: 'box' must be {n} pairs [lo, hi] with lo < hi")
 

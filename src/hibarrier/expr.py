@@ -27,7 +27,6 @@ __all__ = [
     "NonSmoothMarker",
     "NONSMOOTH",
     "parse",
-    "evaluate",
     "compile_ast",
     "compile_vector",
     "differentiate",
@@ -458,10 +457,6 @@ def compile_vector(asts: Sequence[Ast]) -> Callable[[Sequence[float], Sequence[f
     em = _Emitter()
     results = [em.emit(a) for a in asts]
     return em.function("x, p=()", f"_array([{', '.join(results)}])")
-
-
-def evaluate(ast: Ast, x: Sequence[float], p: Sequence[float] = ()) -> float:
-    return compile_ast(ast)(x, p)
 
 
 # ---------------------------------------------------------------------------

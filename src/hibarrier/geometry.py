@@ -30,7 +30,6 @@ __all__ = [
     "ConeQuery",
     "SampleResult",
     "Transversality",
-    "distance",
     "project",
     "minkowski",
     "transversality_check",
@@ -349,9 +348,12 @@ def _term_lower_bound(leaves: Sequence[Leaf], x: np.ndarray) -> float:
     return lb
 
 
-def _project_impl(S: SetDescription, x: np.ndarray, *, starts: int, seed: int,
-                  warm: np.ndarray | None, feas_tol: float,
-                  maxiter: int) -> tuple[np.ndarray, float]:
+def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
+            seed: int = 0, warm: np.ndarray | None = None, feas_tol: float = 1e-9,
+            maxiter: int = 80) -> tuple[np.ndarray, float]:
+    """(y, d): a closest point y of S (its closure) to x and d = |x - y|, which
+    approximates inf_{y in S} |x - y| from above, by multi-start local descent."""
+    x = np.asarray(x, dtype=float)
     closed = S.closure()
     if closed.classify(x, 0.0) != Membership.OUTSIDE:
         return x.copy(), 0.0
@@ -378,15 +380,6 @@ def _project_impl(S: SetDescription, x: np.ndarray, *, starts: int, seed: int,
     return best
 
 
-def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
-            seed: int = 0, warm: np.ndarray | None = None, feas_tol: float = 1e-9,
-            maxiter: int = 80) -> np.ndarray:
-    """A closest point of S (its closure) to x, by multi-start local descent."""
-    y, _ = _project_impl(S, np.asarray(x, dtype=float), starts=starts, seed=seed,
-                         warm=warm, feas_tol=feas_tol, maxiter=maxiter)
-    return y
-
-
 def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray, *,
                    seed: int = 0, feas_tol: float = 1e-9) -> np.ndarray | None:
     """A nearby (not necessarily closest) point of S: Newton restoration on the
@@ -407,23 +400,6 @@ def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray, *,
         if got is not None:
             return got[0]
     return None
-
-
-def distance(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
-             seed: int = 0, warm: np.ndarray | None = None, feas_tol: float = 1e-9,
-             maxiter: int = 80) -> float:
-    """inf_{y in S} |x-y|, approximated from above by the projection solver."""
-    _, d = _project_impl(S, np.asarray(x, dtype=float), starts=starts, seed=seed,
-                         warm=warm, feas_tol=feas_tol, maxiter=maxiter)
-    return d
-
-
-def project_with_distance(S: SetDescription, x: Sequence[float] | np.ndarray,
-                          **kw) -> tuple[np.ndarray, float]:
-    return _project_impl(S, np.asarray(x, dtype=float),
-                         starts=kw.pop("starts", 16), seed=kw.pop("seed", 0),
-                         warm=kw.pop("warm", None), feas_tol=kw.pop("feas_tol", 1e-9),
-                         maxiter=kw.pop("maxiter", 80))
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +594,7 @@ def contingent_min_ratio(S: SetDescription, q: ConeQuery, *, seed: int = 0,
     best = np.inf
     warm: np.ndarray | None = None
     for h in q.h_values():
-        y, d = _project_impl(S, q.x + h * q.v, starts=6, seed=seed, warm=warm,
-                             feas_tol=1e-9, maxiter=80)
+        y, d = project(S, q.x + h * q.v, starts=6, seed=seed, warm=warm)
         warm = y
         best = min(best, d / h)
         if early_exit and best <= q.tol:
@@ -636,13 +611,11 @@ def contingent_cone_member_numeric(S: SetDescription, q: ConeQuery, *,
 def external_min_ratio(S: SetDescription, q: ConeQuery, *, seed: int = 0,
                        early_exit: bool = True) -> float:
     """min over the h-sequence of (dist(S, x+hv) - dist(S, x))/h."""
-    y0, d0 = _project_impl(S, q.x, starts=8, seed=seed, warm=None,
-                           feas_tol=1e-9, maxiter=80)
+    y0, d0 = project(S, q.x, starts=8, seed=seed)
     best = np.inf
     warm = y0
     for h in q.h_values():
-        y, d = _project_impl(S, q.x + h * q.v, starts=6, seed=seed, warm=warm,
-                             feas_tol=1e-9, maxiter=80)
+        y, d = project(S, q.x + h * q.v, starts=6, seed=seed, warm=warm)
         warm = y
         best = min(best, (d - d0) / h)
         if early_exit and best <= q.tol:

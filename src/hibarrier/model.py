@@ -9,7 +9,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry as geo
-from .fields import Grid, ScalarField, SetValuedMap, image_samples, gradient
+from .fields import C1, LIPSCHITZ, Grid, ScalarField, SetValuedMap, image_samples, gradient
 
 __all__ = [
     "HybridSystem",
@@ -27,9 +27,6 @@ __all__ = [
     "LEAVES_BY_JUMP",
     "LEAVES_BY_FLOW",
 ]
-
-C1 = "c1"
-LIPSCHITZ = "lipschitz"
 
 STAYS_IN_K = "stays_in_k"
 LEAVES_BY_JUMP = "leaves_by_jump"

@@ -9,6 +9,8 @@ substreams of the same seed.
 from __future__ import annotations
 
 import zlib
+from typing import Callable
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -53,6 +55,40 @@ def _ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
 
 def _in_box(x: np.ndarray, box: np.ndarray, slack: float = 1e-9) -> bool:
     return bool(np.all(x >= box[:, 0] - slack) and np.all(x <= box[:, 1] + slack))
+
+
+def _pull_into(S: geo.SetDescription, p: np.ndarray, seed: int) -> np.ndarray | None:
+    """p itself if it is not outside S, else a nearby point of S (None if none)."""
+    if S.classify(p, 0.0) == geo.Membership.OUTSIDE:
+        return geo.feasible_point(S, p, seed=seed)
+    return p
+
+
+def _in_ke_cap_c(kc: KComplex, H: HybridSystem, x: np.ndarray) -> bool:
+    """x lies in K_e and in C, up to the refinement slack `_IN_C_TOL`."""
+    return (kc.K_e.classify(x, _IN_C_TOL) != geo.Membership.OUTSIDE
+            and H.C.classify(x, _IN_C_TOL) != geo.Membership.OUTSIDE)
+
+
+def _perturb(rng: np.random.Generator, anchors: list[np.ndarray], n: int,
+             radius: float, reach: float, box: np.ndarray,
+             step: Callable[[np.ndarray, np.ndarray], np.ndarray | None],
+             out: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """Fill `out` up to n points in at most 20n draws. A draw picks an anchor a
+    (numpy draws nothing for a single anchor), moves it by a random point of
+    the ball of `radius`, and lets `step(a, p)` reflect, pull or reject it
+    (None); the result is kept when it lies within reach * radius of a and in
+    the box."""
+    out = [] if out is None else out
+    attempts = 0
+    while len(out) < n and attempts < 20 * n:
+        attempts += 1
+        a = anchors[int(rng.integers(len(anchors)))]
+        p = step(a, a + _ball(rng, len(a), radius))
+        if p is None or float(np.linalg.norm(p - a)) > reach * radius or not _in_box(p, box):
+            continue
+        out.append(p)
+    return out
 
 
 def kc_set(kc: KComplex, H: HybridSystem) -> geo.SetDescription:
@@ -100,30 +136,19 @@ def m_band(kc: KComplex, H: HybridSystem, i: int, box: np.ndarray, n: int,
     anchors = _m_pool(kc, i, box, n, band, seed)
     if not anchors:
         return []
-    rng = rng_for(seed, f"m-band-{i}")
-    out: list[np.ndarray] = []
-    attempts = 0
-    while len(out) < n and attempts < 20 * n:
-        attempts += 1
-        a = anchors[int(rng.integers(len(anchors)))]
-        p = a + _ball(rng, kc.n, radius)
+
+    def step(a: np.ndarray, p: np.ndarray) -> np.ndarray | None:
         if float(b_i.fn(p)) <= 1e-12:
             p = a - (p - a)
             if float(b_i.fn(p)) <= 1e-12:
-                continue
-        if H.C.classify(p, 0.0) == geo.Membership.OUTSIDE:
-            q = geo.feasible_point(H.C, p, seed=seed)
-            if q is None:
-                continue
-            p = q
-        if float(b_i.fn(p)) <= 1e-12:
-            continue
-        if H.C.classify(p, _IN_C_TOL) == geo.Membership.OUTSIDE:
-            continue
-        if float(np.linalg.norm(p - a)) > 2.0 * radius or not _in_box(p, box):
-            continue
-        out.append(p)
-    return out
+                return None
+        p = _pull_into(H.C, p, seed)
+        if (p is None or float(b_i.fn(p)) <= 1e-12
+                or H.C.classify(p, _IN_C_TOL) == geo.Membership.OUTSIDE):
+            return None
+        return p
+
+    return _perturb(rng_for(seed, f"m-band-{i}"), anchors, n, radius, 2.0, box, step)
 
 
 def outside_band(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
@@ -132,28 +157,17 @@ def outside_band(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
     anchors = _bk_pool(kc, box, n, band, seed)
     if not anchors:
         return []
-    rng = rng_for(seed, "outside-band")
-    out: list[np.ndarray] = []
-    attempts = 0
-    while len(out) < n and attempts < 20 * n:
-        attempts += 1
-        a = anchors[int(rng.integers(len(anchors)))]
-        p = a + _ball(rng, kc.n, radius)
+
+    def step(a: np.ndarray, p: np.ndarray) -> np.ndarray | None:
         if kc.K.classify(p, 0.0) != geo.Membership.OUTSIDE:
             p = a - (p - a)
-        if H.C.classify(p, 0.0) == geo.Membership.OUTSIDE:
-            q = geo.feasible_point(H.C, p, seed=seed)
-            if q is None:
-                continue
-            p = q
-        if kc.K.classify(p, 0.0) != geo.Membership.OUTSIDE:
-            continue
-        if H.C.classify(p, _IN_C_TOL) == geo.Membership.OUTSIDE:
-            continue
-        if float(np.linalg.norm(p - a)) > 2.0 * radius or not _in_box(p, box):
-            continue
-        out.append(p)
-    return out
+        p = _pull_into(H.C, p, seed)
+        if (p is None or kc.K.classify(p, 0.0) != geo.Membership.OUTSIDE
+                or H.C.classify(p, _IN_C_TOL) == geo.Membership.OUTSIDE):
+            return None
+        return p
+
+    return _perturb(rng_for(seed, "outside-band"), anchors, n, radius, 2.0, box, step)
 
 
 def ke_boundary_in_c(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
@@ -183,27 +197,18 @@ def region_a(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
     anchors = anchors_ke_dc(kc, H, box, max(n, 16), band, seed)
     if not anchors:
         return []
-    rng = rng_for(seed, "region-a")
     bar = kc.barrier
-    out: list[np.ndarray] = []
-    attempts = 0
-    while len(out) < n and attempts < 20 * n:
-        attempts += 1
-        a = anchors[int(rng.integers(len(anchors)))]
-        p = a + _ball(rng, kc.n, radius)
+
+    def step(a: np.ndarray, p: np.ndarray) -> np.ndarray | None:
         if bar.bar_value(p) <= 0.0:
             p = a - (p - a)
         y = geo.feasible_point(kc.K_e, p, seed=seed)
-        if y is None:
-            continue
-        if H.C.classify(y, 0.0) != geo.Membership.OUTSIDE:
-            continue
-        if abs(bar.bar_value(y)) > band:
-            continue
-        if float(np.linalg.norm(y - a)) > 2.0 * radius or not _in_box(y, box):
-            continue
-        out.append(y)
-    return out
+        if (y is None or H.C.classify(y, 0.0) != geo.Membership.OUTSIDE
+                or abs(bar.bar_value(y)) > band):
+            return None
+        return y
+
+    return _perturb(rng_for(seed, "region-a"), anchors, n, radius, 2.0, box, step)
 
 
 def region_b(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
@@ -212,31 +217,22 @@ def region_b(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
     anchors = anchors_ke_dc(kc, H, box, max(n, 16), band, seed)
     if not anchors:
         return []
-    rng = rng_for(seed, "region-b")
-    # anchors lie only within `band` of dC, so each is checked against C too
-    out: list[np.ndarray] = [a for a in anchors[:max(2, n // 4)]
-                             if kc.K_e.classify(a, _IN_C_TOL) != geo.Membership.OUTSIDE
-                             and H.C.classify(a, _IN_C_TOL) != geo.Membership.OUTSIDE]
-    attempts = 0
-    while len(out) < n and attempts < 20 * n:
-        attempts += 1
-        a = anchors[int(rng.integers(len(anchors)))]
-        p = a + _ball(rng, kc.n, radius)
+
+    def step(a: np.ndarray, p: np.ndarray) -> np.ndarray | None:
         if H.C.classify(p, 0.0) != geo.Membership.OUTSIDE:
             p = a - (p - a)
             if H.C.classify(p, 0.0) != geo.Membership.OUTSIDE:
-                continue
+                return None
         y = geo.feasible_point(H.C, p, seed=seed)
-        if y is None:
-            continue
-        if kc.K_e.classify(y, _IN_C_TOL) == geo.Membership.OUTSIDE:
-            continue
-        if H.C.classify(y, band) != geo.Membership.BOUNDARY:
-            continue
-        if float(np.linalg.norm(y - a)) > 2.0 * radius or not _in_box(y, box):
-            continue
-        out.append(y)
-    return out[:n]
+        if (y is None or kc.K_e.classify(y, _IN_C_TOL) == geo.Membership.OUTSIDE
+                or H.C.classify(y, band) != geo.Membership.BOUNDARY):
+            return None
+        return y
+
+    # anchors lie only within `band` of dC, so each is checked against C too
+    seeded = [a for a in anchors[:max(2, n // 4)] if _in_ke_cap_c(kc, H, a)]
+    return _perturb(rng_for(seed, "region-b"), anchors, n, radius, 2.0, box, step,
+                    out=seeded)[:n]
 
 
 def dk_dc(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int, band: float,
@@ -345,25 +341,16 @@ def neighborhood_on_kdc(kc: KComplex, H: HybridSystem, x_o: np.ndarray,
                         box: np.ndarray, radius: float, count: int, band: float,
                         seed: int) -> list[np.ndarray]:
     """Points of K cap dC within `radius` of x_o."""
-    rng = rng_for(seed, "kdc-neighborhood")
-    out: list[np.ndarray] = []
-    attempts = 0
-    while len(out) < count and attempts < 20 * count:
-        attempts += 1
-        p = x_o + _ball(rng, kc.n, radius)
-        if H.C.classify(p, 0.0) == geo.Membership.OUTSIDE:
-            q = geo.feasible_point(H.C, p, seed=seed)
-            if q is None:
-                continue
-            p = q
-        if H.C.classify(p, band) != geo.Membership.BOUNDARY:
-            continue
-        if kc.K.classify(p, _IN_C_TOL) == geo.Membership.OUTSIDE:
-            continue
-        if float(np.linalg.norm(p - x_o)) > 1.5 * radius or not _in_box(p, box):
-            continue
-        out.append(p)
-    return out
+
+    def step(a: np.ndarray, p: np.ndarray) -> np.ndarray | None:
+        p = _pull_into(H.C, p, seed)
+        if (p is None or H.C.classify(p, band) != geo.Membership.BOUNDARY
+                or kc.K.classify(p, _IN_C_TOL) == geo.Membership.OUTSIDE):
+            return None
+        return p
+
+    return _perturb(rng_for(seed, "kdc-neighborhood"), [x_o], count, radius, 1.5, box,
+                    step)
 
 
 def ke_c_volume(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,

@@ -4,7 +4,6 @@ counterexample search for invariance and contractivity."""
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -422,53 +421,46 @@ def _start_points(kc: KComplex, box, n: int, band: float, seed: int) -> list[np.
     return pts[:n]
 
 
+def _first_hit(run: Callable[[int], object | None], total: int) -> tuple[int, object | None]:
+    """Run tasks 0, 1, ... in order until one returns a hit: (tasks run, hit),
+    or (total, None) when none does."""
+    for task_index in range(total):
+        hit = run(task_index)
+        if hit is not None:
+            return task_index + 1, hit
+    return total, None
+
+
 def falsify_invariance(H: HybridSystem, kc: KComplex, budget: FalsifyBudget, *,
-                       box, seed: int = 0, workers: int = 1) -> FalsifyResult:
+                       box, seed: int = 0) -> FalsifyResult:
     """Multi-start search for an arc leaving K; policies from the pool cycle
-    across starts. Deterministic for fixed seed and identical across worker
-    counts (ordered chunks, lexicographic pick)."""
+    across starts. Stops at the first start whose arc leaves K, so the result
+    is deterministic for a fixed seed."""
     starts = _start_points(kc, box, budget.starts, budget.boundary_band, seed)
     policies = budget.policies
     K = kc.K
     exit_tol = budget.exit_tol
 
-    def run(task_index: int) -> tuple[int, HybridArc, ScenarioResult] | None:
-        s_idx = task_index
-        p_idx = task_index % len(policies)
-        x0 = starts[s_idx]
+    def run(s_idx: int) -> tuple[HybridArc, ScenarioResult] | None:
+        p_idx = s_idx % len(policies)
         try:
-            arc = solve(H, x0, policies[p_idx], budget.horizon, kc=kc,
+            arc = solve(H, starts[s_idx], policies[p_idx], budget.horizon, kc=kc,
                         seed=(seed, s_idx, p_idx),
                         stop_when=lambda y: K.classify(y, exit_tol) == geo.Membership.OUTSIDE)
             scenario = scenario_classify(arc, K, exit_tol)
         except (geo.PreconditionError, geo.NonConvergence, EvaluationError):
             return None
-        if scenario.kind != STAYS_IN_K:
-            return (task_index, arc, scenario)
-        return None
+        return (arc, scenario) if scenario.kind != STAYS_IN_K else None
 
-    total = len(starts)
-    chunk = max(8, 4 * max(workers, 1))
-    done = 0
-    hits: list[tuple[int, HybridArc, ScenarioResult]] = []
-    while done < total:
-        indices = range(done, min(done + chunk, total))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, indices))
-        else:
-            results = [run(i) for i in indices]
-        done = indices.stop
-        hits = [r for r in results if r is not None]
-        if hits:
-            break
-    stats = {"starts": len(starts), "policies": len(policies), "tasks_run": done}
-    if not hits:
+    tasks_run, hit = _first_hit(run, len(starts))
+    stats = {"starts": len(starts), "policies": len(policies), "tasks_run": tasks_run}
+    if hit is None:
         return FalsifyResult(found=False, stats=stats)
-    task_index, arc, scenario = min(hits, key=lambda r: r[0])
-    return FalsifyResult(found=True, arc=arc, scenario=scenario, start=starts[task_index],
-                         start_index=task_index,
-                         policy_index=task_index % len(policies), stats=stats)
+    s_idx = tasks_run - 1
+    arc, scenario = hit
+    return FalsifyResult(found=True, arc=arc, scenario=scenario, start=starts[s_idx],
+                         start_index=s_idx, policy_index=s_idx % len(policies),
+                         stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +479,7 @@ class ProbeResult:
 def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
                         tau_probe: float, *, box, seed: int = 0,
                         starts: Sequence[np.ndarray] | None = None,
-                        entry_margin: float = 1e-4,
-                        workers: int = 1) -> ProbeResult:
+                        entry_margin: float = 1e-4) -> ProbeResult:
     """From dK starts, test immediate entry of max_i B_i below -entry_margin
     after the first nontrivial flow step or jump within (0, tau_probe]."""
     if tau_probe <= 0:
@@ -506,7 +497,7 @@ def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
                 SelectionPolicy(Constant(), Constant(), Overlap("flow")))
     exit_tol = budget.exit_tol
 
-    def run(task_index: int) -> tuple[int, str, HybridArc] | None:
+    def run(task_index: int) -> tuple[str, HybridArc] | None:
         s_idx, p_idx = divmod(task_index, len(policies))
         try:
             arc = solve(H, pts[s_idx], policies[p_idx], horizon, kc=kc,
@@ -519,33 +510,19 @@ def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
             return None  # only the trivial solution was produced
         worst = max(vals)
         if worst > exit_tol:
-            return (task_index, "left", arc)
+            return ("left", arc)
         # lingering means the band [-entry_margin, tol] holds throughout;
         # dipping below the margin anywhere counts as entry
         if min(vals) >= -entry_margin:
-            return (task_index, "lingered", arc)
+            return ("lingered", arc)
         return None
 
-    total = len(pts) * len(policies)
-    chunk = max(8, 4 * max(workers, 1))
-    done = 0
-    hits: list[tuple[int, str, HybridArc]] = []
-    while done < total:
-        indices = range(done, min(done + chunk, total))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, indices))
-        else:
-            results = [run(i) for i in indices]
-        done = indices.stop
-        hits = [r for r in results if r is not None]
-        if hits:
-            break
-    stats = {"starts": len(pts), "tasks_run": done}
-    if not hits:
+    tasks_run, hit = _first_hit(run, len(pts) * len(policies))
+    stats = {"starts": len(pts), "tasks_run": tasks_run}
+    if hit is None:
         return ProbeResult(lingering=False, stats=stats)
-    task_index, kind, arc = min(hits, key=lambda r: r[0])
-    s_idx = task_index // len(policies)
+    kind, arc = hit
+    s_idx = (tasks_run - 1) // len(policies)
     note = ("arc leaves K from the boundary" if kind == "left"
             else "max_i B_i stays within the boundary band along the arc")
     return ProbeResult(lingering=True, witness_arc=arc, witness_start=pts[s_idx],

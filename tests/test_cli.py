@@ -262,16 +262,91 @@ def test_emit_round_trips_catalog(tmp_path):
             assert np.allclose(loaded.barrier.values(x), ref.barrier.values(x))
 
 
-def test_check_worker_parity(emitted, tmp_path):
+def test_repeat_runs_byte_identical(emitted, tmp_path):
+    # thermostat has two barrier components, so thm1 runs two flow legs; every
+    # CLI run builds its own KComplex, so no cached pool is shared
     cfg = emitted("thermostat")
-    docs = []
-    for workers in ("1", "4"):
-        rep = tmp_path / f"w{workers}.json"
-        assert main(["check", str(cfg), "--theorem", "thm1", "--samples", "12",
-                     "--seed", "2", "--workers", workers, "--report", str(rep)]) == 0
-        doc = json.loads(rep.read_text())
-        doc.pop("timing")
-        for c in doc["checks"]:
-            c["config"].pop("workers")
-        docs.append(json.dumps(doc, sort_keys=True))
-    assert docs[0] == docs[1]
+    for command in (["check", str(cfg), "--theorem", "thm1", "--samples", "12"],
+                    ["falsify", str(cfg), "--budget", "12", "--horizon", "1,4"]):
+        docs = []
+        for run in ("a", "b"):
+            rep = tmp_path / f"{command[0]}-{run}.json"
+            assert main(command + ["--seed", "2", "--report", str(rep)]) == 0
+            doc = json.loads(rep.read_text())
+            doc.pop("timing")
+            docs.append(json.dumps(doc, sort_keys=True))
+        assert docs[0] == docs[1]
+
+
+def test_found_falsify_counts_tasks_run(emitted, tmp_path):
+    # the search stops at its first hit: tasks_run is that start's index + 1
+    from hibarrier import simulate as sim
+    from hibarrier.config import load_system
+    from hibarrier.model import build_k_complex
+
+    bundle = load_system(emitted("expcount"))
+    kc = build_k_complex(bundle.system, bundle.barrier)
+    budget = sim.FalsifyBudget(starts=24, horizon=sim.Horizon(1.5, 2, 5e-3))
+    res = sim.falsify_invariance(bundle.system, kc, budget, box=bundle.box, seed=0)
+    assert res.found
+    assert res.stats["tasks_run"] == res.start_index + 1
+    assert res.stats["starts"] == 24
+
+
+def test_boundary_option_c_points_lie_in_c(emitted, tmp_path):
+    # option c's anchors lie only near dC; each one evaluated must be in C.
+    # At seed 0 every anchor is outside C, so the points come from seed 1.
+    from hibarrier.config import load_system
+    from hibarrier.geometry import Membership
+
+    cfg = emitted("expcount")
+    report = tmp_path / "rep.json"
+    xs = []
+    for seed in ("0", "1"):
+        main(["check", str(cfg), "--theorem", "boundary", "--option", "c",
+              "--samples", "6", "--seed", seed, "--report", str(report)])
+        (check,) = json.loads(report.read_text())["checks"]
+        assert check["status"] != "violated"
+        xs += [e["x"] for e in check["evaluations"] if e["condition"] == "boundary:c:eqraj2"]
+    assert xs
+    C = load_system(cfg).system.C
+    assert all(C.classify(x, 1e-6) != Membership.OUTSIDE for x in xs)
+
+
+_GOOD = {"name": "ok", "dim": 2, "C": "x1", "D": "-x1", "F": ["1", "0"],
+         "G": ["x1", "x2"], "barrier": ["x2"], "box": [[-1, 1], [-1, 1]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"constants": {"a": "b"}},
+    {"constants": [1]},
+    {"params": "x"},
+    {"notes": 5},
+    {"expected": [1]},
+    {"box": [[-1, 1], [-1]]},
+    {"box": "wide"},
+    {"C": {"leaf": 5}},
+    {"F": ["1", 0]},
+])
+def test_malformed_config_raises_config_error(change, tmp_path):
+    from hibarrier.config import ConfigError, system_from_dict
+
+    doc = {**_GOOD, **change}
+    field = next(iter(change))
+    with pytest.raises(ConfigError, match=field):
+        system_from_dict(doc, source="doc")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["check", str(bad)]) == 3
+
+
+def test_key_error_in_a_command_propagates(emitted, monkeypatch):
+    # only malformed input maps to exit 3; a KeyError is a programming error
+    from hibarrier import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "run_named_check", broken)
+    with pytest.raises(KeyError):
+        main(["check", str(emitted("thermostat"))])

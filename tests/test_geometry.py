@@ -179,14 +179,16 @@ def test_external_disk():
 
 def test_distance_disk_radial():
     S = disk()
-    assert geo.distance(S, [3, 0]) == pytest.approx(2.0, abs=1e-9)
-    assert geo.project(S, [3, 0]) == pytest.approx([1.0, 0.0], abs=1e-9)
+    y, d = geo.project(S, [3, 0])
+    assert d == pytest.approx(2.0, abs=1e-9)
+    assert y == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 def test_distance_inside_is_zero():
     S = disk()
-    assert geo.distance(S, [0.3, -0.2]) == 0.0
-    assert geo.project(S, [0.3, -0.2]) == pytest.approx([0.3, -0.2], abs=0)
+    y, d = geo.project(S, [0.3, -0.2])
+    assert d == 0.0
+    assert y == pytest.approx([0.3, -0.2], abs=0)
 
 
 def test_distance_box_corner_with_grid_oracle():
@@ -199,19 +201,20 @@ def test_distance_box_corner_with_grid_oracle():
         cands.extend([(t, 1.0), (t, -1.0), (1.0, t), (-1.0, t)])
     oracle = min(np.hypot(x[0] - a, x[1] - b) for a, b in cands)
     assert oracle == pytest.approx(np.sqrt(2.0), abs=1e-7)
-    assert geo.distance(S, x) == pytest.approx(oracle, abs=1e-7)
-    assert geo.project(S, x) == pytest.approx([1.0, 1.0], abs=1e-7)
+    y, d = geo.project(S, x)
+    assert d == pytest.approx(oracle, abs=1e-7)
+    assert y == pytest.approx([1.0, 1.0], abs=1e-7)
 
 
 def test_distance_strict_leaf_uses_closure():
     S = geo.SetDescription(2, leaf(lambda x: float(x @ x) - 1.0, strict=True))
-    assert geo.distance(S, [2, 0]) == pytest.approx(1.0, abs=1e-9)
+    assert geo.project(S, [2, 0])[1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nonconvergence_on_empty_set():
     S = geo.SetDescription(2, leaf(lambda x: 1.0, grad=lambda x: np.zeros(2)))
     with pytest.raises(geo.NonConvergence):
-        geo.distance(S, [0.0, 0.0])
+        geo.project(S, [0.0, 0.0])
 
 
 def test_distance_project_consistency_random():
@@ -220,7 +223,7 @@ def test_distance_project_consistency_random():
     pts = rng.uniform(-3, 3, size=(20, 2))
     ds = []
     for x in pts:
-        y, d = geo.project_with_distance(S, x)
+        y, d = geo.project(S, x)
         assert np.linalg.norm(x - y) == pytest.approx(d, abs=1e-9)
         ds.append(d)
     # 1-Lipschitz on sampled pairs
@@ -357,7 +360,7 @@ def test_cone_oracle_equivalence_random_polyhedra():
         S = _random_polyhedron(rng, dim)
         outside = rng.normal(size=dim) * 2.0
         try:
-            x = geo.project(S, outside, starts=4)
+            x, _ = geo.project(S, outside, starts=4)
         except geo.NonConvergence:
             continue
         v = rng.normal(size=dim)
@@ -384,7 +387,7 @@ def test_dm_subset_of_contingent():
         S = _random_polyhedron(rng, 2)
         outside = rng.normal(size=2) * 2.0
         try:
-            x = geo.project(S, outside, starts=4)
+            x, _ = geo.project(S, outside, starts=4)
         except geo.NonConvergence:
             continue
         v = rng.normal(size=2)
@@ -426,7 +429,7 @@ def test_closure_under_intersection_lemma():
 def test_distance_zero_iff_member(x1, x2):
     S = disk()
     x = np.array([x1, x2])
-    d = geo.distance(S, x)
+    _, d = geo.project(S, x)
     if S.classify(x, 0.0) != geo.Membership.OUTSIDE:
         assert d == 0.0
     else:
