@@ -15,6 +15,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import regions
+from .config import ConfigError
 from .fields import (Grid, ScalarField, Vertices, clarke_support, gradient,
                      image_samples, filter_by_cone)
 from .model import BarrierCandidate, HybridSystem, KComplex, build_k_complex
@@ -215,7 +216,10 @@ class UniquenessFunction:
         if text == "osgood":
             return UniquenessFunction("osgood")
         if text.startswith("linear"):
-            k = float(text.split(":", 1)[1]) if ":" in text else 1.0
+            try:
+                k = float(text.split(":", 1)[1]) if ":" in text else 1.0
+            except ValueError:
+                raise ConfigError(f"linear uniqueness function needs a number: {text!r}") from None
             return UniquenessFunction("linear", k=k)
         raise geo.PreconditionError(f"unknown uniqueness function {text!r}")
 
@@ -336,7 +340,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
         if not active:
             continue
         grads = [gradient(B.components[i], x) for i in active]
-        tv = geo.transversality_check(grads, margin=cfg.margin_strict, seed=cfg.seed)
+        tv = geo.transversality_check(grads, margin=cfg.margin_strict)
         col.add("boundary:transversality", x, tv.best, -cfg.margin_strict,
                 note="infeasible" if not tv.feasible else "")
 
@@ -379,7 +383,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
             if not active:
                 continue
             grads = [gradient(B.components[i], x) for i in active]
-            tv = geo.transversality_check(grads, margin=cfg.margin_strict, seed=cfg.seed)
+            tv = geo.transversality_check(grads, margin=cfg.margin_strict)
             col.add("boundary:a:transversality", x, tv.best, -cfg.margin_strict)
             for eta in image_samples(H.F, x, cfg.scheme):
                 for i in active:
@@ -409,10 +413,14 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
                 break
         if convex_ok:
             # anchors lie only within `band` of dC, so each is checked against C too
-            for x in regions.anchors_ke_dc(kc, H, box, cfg.samples, cfg.band,
-                                           seed=cfg.seed):
-                if not regions._in_ke_cap_c(kc, H, x):
-                    continue
+            anchors = [x for x in regions.anchors_ke_dc(kc, H, box, cfg.samples, cfg.band,
+                                                        seed=cfg.seed)
+                       if regions._in_ke_cap_c(kc, H, x)]
+            if not anchors:
+                col.flag("empty-leg:boundary:c")
+                col.note("boundary:c: no sampled anchor lies in K_e cap C near dC; "
+                         "the corner condition was not evaluated")
+            for x in anchors:
                 for eta in image_samples(H.F, x, cfg.scheme):
                     ratio = _tangent_ratio(kc_c, x, eta, cfg, col)
                     if ratio is None:
@@ -557,6 +565,37 @@ def _persistent_neighborhood_failures(
                  f"{x_o.tolist()} vanish under shrinking radii (sensitivity only)")
 
 
+def _completion_leg(kc: KComplex, H: HybridSystem, cfg: CheckConfig, col: _Collector,
+                    S: geo.SetDescription, condition: str,
+                    neighborhood: str | None) -> None:
+    """On (K cap dC) \\ D: the least sampled tangent-cone ratio of F(x) to S
+    (capped at 1e6), and, when `neighborhood` names a condition, whether its
+    failures persist on shrinking neighborhoods."""
+
+    def min_ratio(p: np.ndarray) -> float | None:
+        best: float | None = None
+        for eta in image_samples(H.F, p, cfg.scheme):
+            r = _tangent_ratio(S, p, eta, cfg, col)
+            if r is None:
+                continue
+            best = r if best is None else min(best, r)
+            if best <= cfg.cone_tol:
+                break
+        return None if best is None else min(best, 1e6)
+
+    pts = regions.kdc_not_d(kc, H, cfg.box_array(), cfg.samples, cfg.band, seed=cfg.seed)
+    for x_o in pts:
+        best = min_ratio(x_o)
+        if best is None:
+            col.mark_inconclusive(f"no usable flow directions at {x_o.tolist()}")
+            continue
+        col.add(condition, x_o, best, cfg.cone_tol)
+        if neighborhood:
+            _persistent_neighborhood_failures(kc, H, cfg, col, x_o, neighborhood, min_ratio)
+    if not pts:
+        col.note("(K cap dC) \\ D produced no samples; completion is vacuous")
+
+
 def check_invariance_completion(H: HybridSystem, B: BarrierCandidate,
                                 cfg: CheckConfig, mode: str = "prop2") -> Verdict:
     """Pre-invariance to invariance: nontrivial-flow existence on
@@ -566,35 +605,10 @@ def check_invariance_completion(H: HybridSystem, B: BarrierCandidate,
         raise geo.PreconditionError("mode must be prop2 or prop3")
     kc = build_k_complex(H, B)
     col = _Collector()
-    box = cfg.box_array()
     kc_c = regions.kc_set(kc, H)
     _no_finite_escape_note(kc, H, cfg, col)
-
-    def min_tangent_ratio(p: np.ndarray) -> float | None:
-        best: float | None = None
-        for eta in image_samples(H.F, p, cfg.scheme):
-            r = _tangent_ratio(kc_c, p, eta, cfg, col)
-            if r is None:
-                continue
-            best = r if best is None else min(best, r)
-            if best <= cfg.cone_tol:
-                return best
-        return best
-
-    pts = regions.kdc_not_d(kc, H, box, cfg.samples, cfg.band, seed=cfg.seed)
-    for x_o in pts:
-        best = min_tangent_ratio(x_o)
-        if best is None:
-            col.mark_inconclusive(f"no usable flow directions at {x_o.tolist()}")
-            continue
-        cond = f"invariance:{mode}:flow-exists"
-        col.add(cond, x_o, min(best, 1e6), cfg.cone_tol)
-        if mode == "prop3":
-            _persistent_neighborhood_failures(
-                kc, H, cfg, col, x_o, "invariance:prop3:neighborhood",
-                lambda p: (lambda r: None if r is None else min(r, 1e6))(min_tangent_ratio(p)))
-    if not pts:
-        col.note("(K cap dC) \\ D produced no samples; completion is vacuous")
+    _completion_leg(kc, H, cfg, col, kc_c, f"invariance:{mode}:flow-exists",
+                    "invariance:prop3:neighborhood" if mode == "prop3" else None)
     return col.finish(f"invariance:{mode}", cfg)
 
 
@@ -723,32 +737,9 @@ def check_contractivity_completion(H: HybridSystem, B: BarrierCandidate,
     (K cap dC) \\ D, plus the no-finite-escape heuristic flag."""
     kc = build_k_complex(H, B)
     col = _Collector()
-    box = cfg.box_array()
     _no_finite_escape_note(kc, H, cfg, col)
-
-    def min_tc_ratio(p: np.ndarray) -> float | None:
-        best: float | None = None
-        for eta in image_samples(H.F, p, cfg.scheme):
-            r = _tangent_ratio(H.C, p, eta, cfg, col)
-            if r is None:
-                continue
-            best = r if best is None else min(best, r)
-            if best <= cfg.cone_tol:
-                return best
-        return best
-
-    pts = regions.kdc_not_d(kc, H, box, cfg.samples, cfg.band, seed=cfg.seed)
-    for x_o in pts:
-        best = min_tc_ratio(x_o)
-        if best is None:
-            col.mark_inconclusive(f"no usable flow directions at {x_o.tolist()}")
-            continue
-        col.add("contract-complete:flow-in-tc", x_o, min(best, 1e6), cfg.cone_tol)
-        _persistent_neighborhood_failures(
-            kc, H, cfg, col, x_o, "contract-complete:neighborhood",
-            lambda p: (lambda r: None if r is None else min(r, 1e6))(min_tc_ratio(p)))
-    if not pts:
-        col.note("(K cap dC) \\ D produced no samples; completion is vacuous")
+    _completion_leg(kc, H, cfg, col, H.C, "contract-complete:flow-in-tc",
+                    "contract-complete:neighborhood")
     return col.finish("contract-complete", cfg)
 
 

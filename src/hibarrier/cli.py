@@ -29,13 +29,6 @@ THEOREM_IDS = ("thm1", "boundary", "external", "lipschitz", "relaxed", "invarian
                "contract-c1", "contract-lip", "contract-complete", "cset")
 
 
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("HIBARRIER_SEED", "0"))
-    except ValueError:
-        return 0
-
-
 def _build_config(bundle: SystemBundle, args) -> cert.CheckConfig:
     return cert.CheckConfig(
         box=tuple(tuple(r) for r in bundle.box.tolist()),
@@ -140,29 +133,33 @@ def cmd_check(args) -> int:
     return _exit_from_verdicts(verdicts)
 
 
-def _parse_policy(text: str, seed: int) -> tuple[sim.Rule, sim.Rule]:
-    if text == "random":
-        return sim.PerStepRandom(), sim.PerStepRandom()
-    if text.startswith("adversarial"):
-        d = int(text.split(":", 1)[1]) if ":" in text else 5
-        return sim.AdversarialGrid(d), sim.AdversarialGrid(d)
-    if text.startswith("const"):
-        lam = ()
-        if ":" in text:
-            lam = tuple(float(v) for v in text.split(":", 1)[1].split(",") if v)
-        return sim.Constant(lam), sim.Constant(lam)
+def _parse_policy(text: str) -> tuple[sim.Rule, sim.Rule]:
+    try:
+        if text == "random":
+            return sim.PerStepRandom(), sim.PerStepRandom()
+        if text.startswith("adversarial"):
+            d = int(text.split(":", 1)[1]) if ":" in text else 5
+            return sim.AdversarialGrid(d), sim.AdversarialGrid(d)
+        if text.startswith("const"):
+            lam = ()
+            if ":" in text:
+                lam = tuple(float(v) for v in text.split(":", 1)[1].split(",") if v)
+            return sim.Constant(lam), sim.Constant(lam)
+    except ValueError as e:
+        raise ConfigError(f"bad --policy {text!r}: {e}") from None
     raise ConfigError(f"unknown policy {text!r}; use const[:l1,l2], random, "
                       "or adversarial[:d]")
 
 
 def _parse_overlap(text: str) -> sim.Overlap:
-    if text == "flow":
-        return sim.Overlap("flow")
-    if text == "jump":
-        return sim.Overlap("jump")
+    if text in ("flow", "jump"):
+        return sim.Overlap(text)
     if text.startswith("bernoulli"):
-        p = float(text.split(":", 1)[1]) if ":" in text else 0.5
-        return sim.Overlap("bernoulli", p)
+        try:
+            return sim.Overlap("bernoulli",
+                               float(text.split(":", 1)[1]) if ":" in text else 0.5)
+        except ValueError as e:
+            raise ConfigError(f"bad --overlap {text!r}: {e}") from None
     raise ConfigError(f"unknown overlap rule {text!r}; use flow, jump, or "
                       "bernoulli[:p]")
 
@@ -171,16 +168,22 @@ def _parse_horizon(text: str, step: float) -> sim.Horizon:
     parts = text.split(",")
     if len(parts) != 2:
         raise ConfigError("--horizon expects T,J")
-    return sim.Horizon(float(parts[0]), int(parts[1]), step)
+    try:
+        return sim.Horizon(float(parts[0]), int(parts[1]), step)
+    except ValueError as e:
+        raise ConfigError(f"bad --horizon {text!r}: {e}") from None
 
 
 def cmd_simulate(args) -> int:
     bundle = load_system(args.config)
     kc = build_k_complex(bundle.system, bundle.barrier)
-    x0 = np.array([float(v) for v in args.x0.split(",")])
+    try:
+        x0 = np.array([float(v) for v in args.x0.split(",")])
+    except ValueError as e:
+        raise ConfigError(f"bad --x0 {args.x0!r}: {e}") from None
     if x0.size != bundle.system.n:
         raise ConfigError(f"--x0 needs {bundle.system.n} components")
-    flow_rule, jump_rule = _parse_policy(args.policy, args.seed)
+    flow_rule, jump_rule = _parse_policy(args.policy)
     policy = sim.SelectionPolicy(flow_rule, jump_rule, _parse_overlap(args.overlap))
     horizon = _parse_horizon(args.horizon, args.step)
     try:
@@ -313,6 +316,9 @@ def cmd_examples(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a string default goes through type=int too, so a malformed
+    # HIBARRIER_SEED is a usage error, and an explicit --seed still wins
+    seed_default = os.environ.get("HIBARRIER_SEED", "0")
     parser = argparse.ArgumentParser(
         prog="hibarrier",
         description="Barrier-function invariance and contractivity checks for "
@@ -329,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--band", type=float, default=0.01)
     pc.add_argument("--tol", type=float, default=1e-9)
     pc.add_argument("--margin", type=float, default=1e-6)
-    pc.add_argument("--seed", type=int, default=_default_seed())
+    pc.add_argument("--seed", type=int, default=seed_default)
     pc.add_argument("--rho", default="linear:1")
     pc.add_argument("--option", choices=("a", "b", "c"), default="a")
     pc.add_argument("--mode", choices=("prop2", "prop3"), default="prop2",
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--overlap", default="flow")
     ps.add_argument("--horizon", default="1,4", help="T,J")
     ps.add_argument("--step", type=float, default=1e-3)
-    ps.add_argument("--seed", type=int, default=_default_seed())
+    ps.add_argument("--seed", type=int, default=seed_default)
     ps.add_argument("--out")
     ps.set_defaults(fn=cmd_simulate)
 
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--budget", type=int, default=50, help="number of starts")
     pf.add_argument("--horizon", default="2,8", help="T,J")
     pf.add_argument("--step", type=float, default=5e-3)
-    pf.add_argument("--seed", type=int, default=_default_seed())
+    pf.add_argument("--seed", type=int, default=seed_default)
     pf.add_argument("--mode", choices=("invariance", "contractivity"),
                     default="invariance")
     pf.add_argument("--tau", type=float, default=0.05,
@@ -366,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("action", choices=("list", "run", "emit"))
     pe.add_argument("name", nargs="?")
     pe.add_argument("--dir")
-    pe.add_argument("--seed", type=int, default=_default_seed())
+    pe.add_argument("--seed", type=int, default=seed_default)
     pe.set_defaults(fn=cmd_examples)
     return parser
 

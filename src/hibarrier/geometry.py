@@ -250,35 +250,20 @@ class SetDescription:
 # Distance and projection
 
 
-def _newton_feasibility(leaves: Sequence[Leaf], y: np.ndarray, iters: int = 25) -> np.ndarray:
-    """Cheap pre-pass: push the most violated constraint toward feasibility."""
+def _newton_feasibility(leaves: Sequence[Leaf], y: np.ndarray, iters: int = 25,
+                        slack: float = 0.0) -> np.ndarray:
+    """Push the most violated constraint toward feasibility until every
+    c_j(y) <= slack: a pre-pass before a local solve, and its polish."""
     y = y.copy()
     for _ in range(iters):
         vals = [leaf.constraint.value_checked(y) for leaf in leaves]
         worst = int(np.argmax(vals))
-        if vals[worst] <= 0.0:
+        if vals[worst] <= slack:
             return y
         g = gradient(leaves[worst].constraint, y)
         gg = float(g @ g)
         if gg < 1e-18:
             return y
-        y = y - (vals[worst] / gg) * g
-    return y
-
-
-def _polish_active(leaves: Sequence[Leaf], y: np.ndarray, feas_tol: float) -> np.ndarray:
-    """Restore slightly violated constraints (c in (0, sqrt-ish tol]) to c<=0."""
-    for _ in range(4):
-        vals = np.array([leaf.constraint.value_checked(y) for leaf in leaves])
-        if np.all(vals <= feas_tol * 1e-3):
-            break
-        worst = int(np.argmax(vals))
-        if vals[worst] <= 0:
-            break
-        g = gradient(leaves[worst].constraint, y)
-        gg = float(g @ g)
-        if gg < 1e-18:
-            break
         y = y - (vals[worst] / gg) * g
     return y
 
@@ -320,7 +305,8 @@ def _project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray
                            options={"maxiter": maxiter, "ftol": 1e-16})
         except (EvaluationError, FloatingPointError):
             continue
-        y = _polish_active(leaves, np.asarray(res.x, dtype=float), feas_tol)
+        y = _newton_feasibility(leaves, np.asarray(res.x, dtype=float), 4,
+                                slack=feas_tol * 1e-3)
         vals = [leaf.constraint.value_checked(y) for leaf in leaves]
         if max(vals) > feas_tol:
             continue
@@ -435,78 +421,70 @@ class ConeQuery:
 class Transversality:
     feasible: bool
     direction: np.ndarray | None
-    best: float  # achieved max_i <g_i, v>
+    best: float  # min over |v| <= 1 of max_i <g_i, v>, attained at `direction`
 
 
-def transversality_check(gradients: Sequence[np.ndarray], *, margin: float = 1e-8,
-                         starts: int = 8, seed: int = 0) -> Transversality:
+def _min_norm_point(G: np.ndarray) -> np.ndarray:
+    """The least-norm point of the convex hull of the rows of G, by Wolfe's
+    algorithm (Wolfe 1976, "Finding the nearest point in a polytope"): a
+    corral of rows whose affine hull's least-norm point lies inside their
+    hull grows by the row most opposed to the current point, and shrinks
+    along a line search whenever that point falls outside."""
+    sq = np.einsum("ij,ij->i", G, G)
+    scale = float(np.sqrt(np.max(sq)))
+    corral = [int(np.argmin(sq))]
+    w = np.ones(1)
+    p = G[corral[0]]
+    for _ in range(10 * len(G) + 10):  # finite in exact arithmetic; capped for rounding
+        # stop when no row improves on p by more than 1e-12 * scale in the
+        # value max_i <g_i, -p/|p|>, which is what transversality reads
+        j = int(np.argmin(G @ p))
+        if p @ p - G[j] @ p <= 1e-12 * scale * float(np.sqrt(p @ p)) or j in corral:
+            break
+        corral.append(j)
+        w = np.append(w, 0.0)
+        while True:
+            P = G[corral]
+            # weights a (summing to 1) of the least-norm point of aff(P)
+            b, *_ = np.linalg.lstsq((P[1:] - P[0]).T, -P[0], rcond=None)
+            a = np.concatenate([[1.0 - b.sum()], b])
+            if np.all(a > 0.0):
+                w = a
+                break
+            # step from w toward a until the first weight reaches zero
+            neg = np.flatnonzero(a <= 0.0)
+            gap = w[neg] - a[neg]
+            ratios = np.divide(w[neg], gap, out=np.zeros(len(neg)), where=gap > 0.0)
+            i = int(np.argmin(ratios))
+            w = w + ratios[i] * (a - w)
+            w[neg[i]] = 0.0
+            keep = w > 0.0
+            corral = [c for c, kept in zip(corral, keep) if kept]
+            w = w[keep]
+        p = w @ G[corral]
+    return p
+
+
+def transversality_check(gradients: Sequence[np.ndarray], *,
+                         margin: float = 1e-8) -> Transversality:
     """Find a unit v with <g_i, v> < 0 for all i, or declare infeasibility.
 
-    Solves min t s.t. <g_i, v> <= t, |v|^2 <= 1 by multi-start SLSQP (the
-    epigraph form of minimizing the max over the unit sphere). A zero gradient
-    makes the condition unsatisfiable.
+    min over |v| <= 1 of max_i <g_i, v> is -|p| for the least-norm point p of
+    conv{g_i}, attained at v = -p/|p|; `best` is -|p|, which is better
+    conditioned than evaluating max_i <g_i, v> when |p| << |g_i|. A zero
+    gradient, or p = 0, makes the condition unsatisfiable.
     """
     gs = [np.asarray(g, dtype=float) for g in gradients]
     if not gs:
         raise PreconditionError("gradient list must be nonempty")
-    n = gs[0].size
-    for g in gs:
-        if float(np.linalg.norm(g)) <= 1e-12:
-            return Transversality(False, None, 0.0)
     G = np.array(gs)
-
-    def objective(z: np.ndarray) -> float:
-        return z[-1]
-
-    def objective_jac(z: np.ndarray) -> np.ndarray:
-        j = np.zeros(n + 1)
-        j[-1] = 1.0
-        return j
-
-    cons = [
-        {
-            "type": "ineq",
-            "fun": lambda z, gi=g: z[-1] - float(gi @ z[:-1]),
-            "jac": lambda z, gi=g: np.concatenate([-gi, [1.0]]),
-        }
-        for g in G
-    ]
-    cons.append({
-        "type": "ineq",
-        "fun": lambda z: 1.0 - float(z[:-1] @ z[:-1]),
-        "jac": lambda z: np.concatenate([-2.0 * z[:-1], [0.0]]),
-    })
-
-    rng = np.random.default_rng((int(seed), zlib.crc32(b"transversality")))
-    seeds: list[np.ndarray] = []
-    mean = -np.sum(G / np.linalg.norm(G, axis=1, keepdims=True), axis=0)
-    if np.linalg.norm(mean) > 1e-12:
-        seeds.append(mean / np.linalg.norm(mean))
-    for g in G[:3]:
-        seeds.append(-g / np.linalg.norm(g))
-    while len(seeds) < starts:
-        u = rng.normal(size=n)
-        seeds.append(u / np.linalg.norm(u))
-
-    best_v, best_t = None, np.inf
-    for v0 in seeds:
-        t0 = float(np.max(G @ v0))
-        z0 = np.concatenate([v0, [t0]])
-        res = minimize(objective, z0, jac=objective_jac, method="SLSQP",
-                       constraints=cons, options={"maxiter": 80, "ftol": 1e-14})
-        v = np.asarray(res.x[:-1], dtype=float)
-        nv = float(np.linalg.norm(v))
-        if nv < 1e-12:
-            continue
-        v = v / nv
-        t = float(np.max(G @ v))
-        if t < best_t:
-            best_t, best_v = t, v
-        if best_t < -max(margin, 1e-6) * 10:
-            break
-    if best_v is None or best_t >= -margin:
-        return Transversality(False, None, best_t if np.isfinite(best_t) else 0.0)
-    return Transversality(True, best_v, best_t)
+    norms = np.linalg.norm(G, axis=1)
+    p = _min_norm_point(G)
+    pn = float(np.linalg.norm(p))
+    # below 1e-12 * max|g_i|, p = 0 up to rounding: 0 lies in conv{g_i}
+    feasible = (float(np.min(norms)) > 1e-12 and pn > 1e-12 * float(np.max(norms))
+                and -pn < -margin)
+    return Transversality(feasible, -p / pn if feasible else None, -pn if pn else 0.0)
 
 
 def _active_leaves(S: SetDescription, x: np.ndarray,
@@ -581,8 +559,20 @@ def dm_cone_member(S: SetDescription, x: Sequence[float] | np.ndarray,
     return ConeVerdict.MEMBER
 
 
-def contingent_min_ratio(S: SetDescription, q: ConeQuery, *, seed: int = 0,
-                         early_exit: bool = True) -> float:
+def _min_ratio(S: SetDescription, q: ConeQuery, seed: int, d0: float,
+               warm: np.ndarray | None) -> float:
+    """min over the h-sequence of (dist(S, x + h v) - d0)/h, stopping once it
+    is <= q.tol; each projection starts warm from the previous one."""
+    best = np.inf
+    for h in q.h_values():
+        warm, d = project(S, q.x + h * q.v, starts=6, seed=seed, warm=warm)
+        best = min(best, (d - d0) / h)
+        if best <= q.tol:
+            break
+    return best
+
+
+def contingent_min_ratio(S: SetDescription, q: ConeQuery, *, seed: int = 0) -> float:
     """min over the h-sequence of distance(S, x + h v)/h.
 
     A sampled under-approximation of the liminf in the cone definition;
@@ -591,15 +581,7 @@ def contingent_min_ratio(S: SetDescription, q: ConeQuery, *, seed: int = 0,
     """
     if float(np.linalg.norm(q.v)) == 0.0:
         return 0.0
-    best = np.inf
-    warm: np.ndarray | None = None
-    for h in q.h_values():
-        y, d = project(S, q.x + h * q.v, starts=6, seed=seed, warm=warm)
-        warm = y
-        best = min(best, d / h)
-        if early_exit and best <= q.tol:
-            return best
-    return best
+    return _min_ratio(S, q, seed, 0.0, None)
 
 
 def contingent_cone_member_numeric(S: SetDescription, q: ConeQuery, *,
@@ -608,19 +590,10 @@ def contingent_cone_member_numeric(S: SetDescription, q: ConeQuery, *,
     return contingent_min_ratio(S, q, seed=seed) <= q.tol
 
 
-def external_min_ratio(S: SetDescription, q: ConeQuery, *, seed: int = 0,
-                       early_exit: bool = True) -> float:
+def external_min_ratio(S: SetDescription, q: ConeQuery, *, seed: int = 0) -> float:
     """min over the h-sequence of (dist(S, x+hv) - dist(S, x))/h."""
     y0, d0 = project(S, q.x, starts=8, seed=seed)
-    best = np.inf
-    warm = y0
-    for h in q.h_values():
-        y, d = project(S, q.x + h * q.v, starts=6, seed=seed, warm=warm)
-        warm = y
-        best = min(best, (d - d0) / h)
-        if early_exit and best <= q.tol:
-            return best
-    return best
+    return _min_ratio(S, q, seed, d0, y0)
 
 
 def external_cone_member(S: SetDescription, q: ConeQuery, *, seed: int = 0) -> bool:

@@ -12,7 +12,7 @@ import numpy as np
 from . import geometry as geo
 from .fields import EvaluationError, Grid, image_samples, filter_by_cone
 from .model import (ArcInterval, BarrierCandidate, HybridArc, HybridSystem,
-                    KComplex, ScenarioResult, STAYS_IN_K, scenario_classify)
+                    KComplex, ScenarioResult, scenario_classify)
 
 __all__ = [
     "HORIZON_REACHED",
@@ -41,6 +41,12 @@ LEFT_C_UNION_D = "left_c_union_d"
 NUMERICAL_FAILURE = "numerical_failure"
 
 _ZENO_MAX = 50
+_FLOW_TOL = 1e-9     # membership slack for C and D along a solution
+_S0_TOL = 1e-6       # membership slack for the initial state (S0)
+_REFINE_TOL = 1e-12  # guard bisection stops below this bracket width
+_BOUNDARY_BAND = 1e-7  # band of dK that search starts are drawn from
+_EXIT_TOL = 1e-6     # a state counts as outside K beyond this slack
+_ENTRY_MARGIN = 1e-4  # max_i B_i below -margin counts as entry into int(K)
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +86,10 @@ class Overlap:
     kind: str = "flow"  # flow | jump | bernoulli
     p: float = 0.5
 
+    def __post_init__(self):
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError("overlap probability must lie in [0,1]")
+
 
 @dataclass(frozen=True)
 class SelectionPolicy:
@@ -103,7 +113,6 @@ class Horizon:
     T: float
     J: int
     step: float = 1e-3
-    refine_tol: float = 1e-12
 
     def __post_init__(self):
         if self.T < 0 or self.J < 0 or self.step <= 0:
@@ -143,17 +152,17 @@ def _lambda_candidates(k: int, rule: Rule, rng: np.random.Generator) -> list[np.
     return [np.array(v) for v in zip(*(m.ravel() for m in mesh))]
 
 
-def _select_flow_lambda(H: HybridSystem, x: np.ndarray, rule: Rule, h: float,
-                        rng: np.random.Generator,
-                        bar: Callable[[np.ndarray], float] | None) -> np.ndarray:
-    cands = _lambda_candidates(H.F.k, rule, rng)
-    if len(cands) == 1 or bar is None:
+def _select_lambda(k: int, rule: Rule, rng: np.random.Generator,
+                   score: Callable[[np.ndarray], float] | None) -> np.ndarray:
+    """The rule's parameter; among several candidates, the one whose finite
+    `score` (max_i B_i after the step) is largest."""
+    cands = _lambda_candidates(k, rule, rng)
+    if len(cands) == 1 or score is None:
         return cands[0]
     best, best_val = cands[0], -np.inf
     for lam in cands:
         try:
-            x_next = _rk4(lambda y: H.F(y, lam), x, h)
-            val = bar(x_next)
+            val = score(lam)
         except (EvaluationError, FloatingPointError):
             continue
         if np.isfinite(val) and val > best_val:
@@ -161,42 +170,52 @@ def _select_flow_lambda(H: HybridSystem, x: np.ndarray, rule: Rule, h: float,
     return best
 
 
-def _select_jump_lambda(H: HybridSystem, x: np.ndarray, rule: Rule,
-                        rng: np.random.Generator,
-                        bar: Callable[[np.ndarray], float] | None) -> np.ndarray:
-    cands = _lambda_candidates(H.G.k, rule, rng)
-    if len(cands) == 1 or bar is None:
-        return cands[0]
-    best, best_val = cands[0], -np.inf
-    for lam in cands:
-        try:
-            val = bar(H.G(x, lam))
-        except (EvaluationError, FloatingPointError):
-            continue
-        if np.isfinite(val) and val > best_val:
-            best, best_val = lam, val
-    return best
+def _bisect(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float,
+            x_h: np.ndarray, crossed: Callable[[np.ndarray], bool],
+            refine_tol: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """Bracket a guard crossing of the flow from x, where x_h (at time h) has
+    crossed: (lo, x_lo, hi, x_hi) with x_lo not crossed and x_hi crossed."""
+    lo, x_lo, hi, x_hi = 0.0, x, h, x_h
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        x_mid = _rk4(f, x, mid)
+        if crossed(x_mid):
+            hi, x_hi = mid, x_mid
+        else:
+            lo, x_lo = mid, x_mid
+        if hi - lo < refine_tol:
+            break
+    return lo, x_lo, hi, x_hi
 
 
 def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
           policy: SelectionPolicy, horizon: Horizon, *,
           kc: KComplex | None = None, seed: int | tuple = 0,
-          flow_tol: float = 1e-9, s0_tol: float = 1e-6,
           stop_when: Callable[[np.ndarray], bool] | None = None) -> HybridArc:
     """Compute a hybrid solution candidate.
 
     Flow segments use a classical 4-stage one-step method with fixed step on
     the policy-selected f(., lam); guard events (leaving C, entering D under a
-    jump-preferring policy) are located by bisection to horizon.refine_tol.
+    jump-preferring policy) are located by bisection to _REFINE_TOL. The arc
+    ends at the first recorded state (x0 included) that satisfies
+    `stop_when`, flagged "stopped-by-predicate".
     """
     x0 = np.asarray(x0, dtype=float)
-    c_closed = H.C.closure()
-    if (c_closed.classify(x0, s0_tol) == geo.Membership.OUTSIDE
-            and H.D.classify(x0, s0_tol) == geo.Membership.OUTSIDE):
+    if (H.C.closure().classify(x0, _S0_TOL) == geo.Membership.OUTSIDE
+            and H.D.classify(x0, _S0_TOL) == geo.Membership.OUTSIDE):
         raise geo.PreconditionError("x0 violates (S0): outside cl(C) u D")
     seed_key = seed if isinstance(seed, tuple) else (seed,)
     rng = np.random.default_rng((*(int(s) for s in seed_key), zlib.crc32(b"solve")))
-    bar = (lambda y, _b=kc.barrier: _b.bar_value(y)) if kc is not None else None
+
+    def score(step: Callable[[np.ndarray], np.ndarray]):
+        """max_i B_i after `step(lam)`, or None without a barrier to rank by."""
+        return None if kc is None else (lambda lam: kc.barrier.bar_value(step(lam)))
+
+    def outside_c(y: np.ndarray) -> bool:
+        return H.C.classify(y, _FLOW_TOL) == geo.Membership.OUTSIDE
+
+    def in_d_at(y: np.ndarray) -> bool:
+        return H.D.classify(y, _FLOW_TOL) != geo.Membership.OUTSIDE
 
     intervals = [ArcInterval(0, [0.0], [x0.copy()])]
     flags: list[str] = []
@@ -204,25 +223,23 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
     cause = HORIZON_REACHED
     zeno_run = 0
     flowed_since_jump = True
-    h_int = horizon.step
-    max_steps = int(horizon.T / h_int * 4) + 8 * horizon.J + 2000
+    max_steps = int(horizon.T / horizon.step * 4) + 8 * horizon.J + 2000
     blocked = False  # flow made no progress at the current state
+    recorded = True  # x is a new state of the arc, not yet stop-tested
 
-    def record_flow(t_new: float, x_new: np.ndarray) -> None:
-        intervals[-1].times.append(t_new)
-        intervals[-1].states.append(x_new.copy())
-
-    stopped = False
-    if stop_when is not None and stop_when(x):
-        stopped = True
-        flags.append("stopped-by-predicate")
-
-    for _ in range(max_steps):
-        if stopped or t >= horizon.T - 1e-15:
+    for steps in range(max_steps + 1):
+        if recorded and stop_when is not None and stop_when(x):
+            flags.append("stopped-by-predicate")
+            break
+        recorded = False
+        if t >= horizon.T - 1e-15:
+            break
+        if steps == max_steps:
+            flags.append("step-budget")
             break
         try:
-            in_c = H.C.classify(x, flow_tol) != geo.Membership.OUTSIDE
-            in_d = H.D.classify(x, flow_tol) != geo.Membership.OUTSIDE
+            in_c = not outside_c(x)
+            in_d = in_d_at(x)
         except EvaluationError:
             cause = NUMERICAL_FAILURE
             break
@@ -244,7 +261,8 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
                 cause = HORIZON_REACHED
                 flags.append("jump-budget")
                 break
-            lam = _select_jump_lambda(H, x, policy.jump, rng, bar)
+            lam = _select_lambda(H.G.k, policy.jump, rng,
+                                 score(lambda l: H.G(x, l)))
             try:
                 g = H.G(x, lam)
             except EvaluationError:
@@ -264,112 +282,56 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
             j += 1
             x = g.copy()
             intervals.append(ArcInterval(j, [t], [x.copy()]))
-            flowed_since_jump = False
-            blocked = False
-            if stop_when is not None and stop_when(x):
-                stopped = True
-                flags.append("stopped-by-predicate")
-            continue
-
-        if not in_c:
-            cause = LEFT_C_UNION_D
-            break
-
-        # flow attempt
-        h = min(h_int, horizon.T - t)
-        lam = _select_flow_lambda(H, x, policy.flow, h, rng, bar)
-        f = lambda y, _l=lam: H.F(y, _l)
-        try:
-            x_full = _rk4(f, x, h)
-        except EvaluationError:
-            cause = NUMERICAL_FAILURE
-            break
-        if not np.all(np.isfinite(x_full)):
-            cause = NUMERICAL_FAILURE
-            break
-
-        exited = H.C.classify(x_full, flow_tol) == geo.Membership.OUTSIDE
-        if exited:
-            lo, x_lo = 0.0, x
-            hi = h
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                x_mid = _rk4(f, x, mid)
-                if H.C.classify(x_mid, flow_tol) == geo.Membership.OUTSIDE:
-                    hi = mid
-                else:
-                    lo, x_lo = mid, x_mid
-                if hi - lo < horizon.refine_tol:
-                    break
-            # progress below the membership-tolerance slack is numerical noise,
-            # not flow; treat the state as blocked instead of recording it
-            if lo > max(4e-6 * h, 1e-12):
-                t += lo
-                x = x_lo.copy()
-                record_flow(t, x)
-                flowed_since_jump = True
-                blocked = False
-                if stop_when is not None and stop_when(x):
-                    stopped = True
-                    flags.append("stopped-by-predicate")
-                continue
-            # no flow progress possible with this selection
-            if H.D.classify(x, flow_tol) != geo.Membership.OUTSIDE:
-                blocked = True
-                continue
-            moved = _attempt_feasible_flow(H, x, h, rng, flow_tol)
-            if moved is None:
-                cause = SOLUTION_DIES
-                flags.append("dies-sampled")
-                break
-            tau, x_new = moved
-            t += tau
-            x = x_new
-            record_flow(t, x)
-            flowed_since_jump = True
-            blocked = False
         else:
-            if policy.overlap.kind == "jump" and not in_d:
-                entered = H.D.classify(x_full, flow_tol) != geo.Membership.OUTSIDE
-                if entered:
-                    lo, hi = 0.0, h
-                    x_hi = x_full
-                    for _ in range(80):
-                        mid = 0.5 * (lo + hi)
-                        x_mid = _rk4(f, x, mid)
-                        if H.D.classify(x_mid, flow_tol) != geo.Membership.OUTSIDE:
-                            hi, x_hi = mid, x_mid
-                        else:
-                            lo = mid
-                        if hi - lo < horizon.refine_tol:
-                            break
-                    if hi > 1e-14:
-                        t += hi
-                        x = x_hi.copy()
-                        record_flow(t, x)
-                        flowed_since_jump = True
-                        blocked = False
-                        if stop_when is not None and stop_when(x):
-                            stopped = True
-                            flags.append("stopped-by-predicate")
-                        continue
-            t += h
-            x = x_full.copy()
-            record_flow(t, x)
-            flowed_since_jump = True
-            blocked = False
-        if stop_when is not None and stop_when(x):
-            stopped = True
-            flags.append("stopped-by-predicate")
-    else:
-        flags.append("step-budget")
+            # flow attempt: the full step, the part before a guard, or a
+            # feasible direction from the boundary of C
+            h = min(horizon.step, horizon.T - t)
+            lam = _select_lambda(H.F.k, policy.flow, rng,
+                                 score(lambda l: _rk4(lambda y: H.F(y, l), x, h)))
+            f = lambda y, _l=lam: H.F(y, _l)
+            try:
+                x_full = _rk4(f, x, h)
+            except EvaluationError:
+                cause = NUMERICAL_FAILURE
+                break
+            if not np.all(np.isfinite(x_full)):
+                cause = NUMERICAL_FAILURE
+                break
+
+            step: tuple[float, np.ndarray] | None = (h, x_full)
+            if outside_c(x_full):
+                lo, x_lo, _, _ = _bisect(f, x, h, x_full, outside_c, _REFINE_TOL)
+                # progress below the membership-tolerance slack is numerical noise,
+                # not flow; treat the state as blocked instead of recording it
+                if lo > max(4e-6 * h, 1e-12):
+                    step = (lo, x_lo)
+                elif in_d:
+                    blocked = True
+                    continue
+                else:
+                    step = _attempt_feasible_flow(H, x, h, rng)
+                    if step is None:
+                        cause = SOLUTION_DIES
+                        flags.append("dies-sampled")
+                        break
+            elif policy.overlap.kind == "jump" and not in_d and in_d_at(x_full):
+                _, _, hi, x_hi = _bisect(f, x, h, x_full, in_d_at, _REFINE_TOL)
+                if hi > 1e-14:
+                    step = (hi, x_hi)
+            tau, x_new = step
+            t += tau
+            x = x_new.copy()
+            intervals[-1].times.append(t)
+            intervals[-1].states.append(x.copy())
+        flowed_since_jump = not want_jump
+        blocked = False
+        recorded = True
 
     return HybridArc(intervals=intervals, termination=cause, flags=flags)
 
 
 def _attempt_feasible_flow(H: HybridSystem, x: np.ndarray, h: float,
-                           rng: np.random.Generator,
-                           flow_tol: float) -> tuple[float, np.ndarray] | None:
+                           rng: np.random.Generator) -> tuple[float, np.ndarray] | None:
     """At a boundary point of C (outside D): look for a flow selection that
     makes progress. None means no sampled direction works (solution dies)."""
     etas = image_samples(H.F, x, Grid(5))
@@ -384,7 +346,7 @@ def _attempt_feasible_flow(H: HybridSystem, x: np.ndarray, h: float,
             except EvaluationError:
                 continue
             if (np.all(np.isfinite(x_try))
-                    and H.C.classify(x_try, flow_tol) != geo.Membership.OUTSIDE):
+                    and H.C.classify(x_try, _FLOW_TOL) != geo.Membership.OUTSIDE):
                 return h * shrink, x_try
     return None
 
@@ -398,8 +360,10 @@ class FalsifyBudget:
     starts: int = 50
     horizon: Horizon = Horizon(2.0, 8, 5e-3)
     policies: tuple[SelectionPolicy, ...] = field(default_factory=default_policy_pool)
-    boundary_band: float = 1e-7
-    exit_tol: float = 1e-6
+
+    def __post_init__(self):
+        if self.starts < 1:
+            raise geo.PreconditionError("the search needs at least one start")
 
 
 @dataclass
@@ -413,9 +377,9 @@ class FalsifyResult:
     stats: dict = field(default_factory=dict)
 
 
-def _start_points(kc: KComplex, box, n: int, band: float, seed: int) -> list[np.ndarray]:
+def _start_points(kc: KComplex, box, n: int, seed: int) -> list[np.ndarray]:
     n_boundary = max(1, n // 2)
-    pts = list(kc.sample_boundary_k(box, n_boundary, band, seed=seed).points)
+    pts = list(kc.sample_boundary_k(box, n_boundary, _BOUNDARY_BAND, seed=seed).points)
     if len(pts) < n:
         pts.extend(kc.sample_k(box, n - len(pts), seed=seed ^ 0x5EED).points)
     return pts[:n]
@@ -435,22 +399,25 @@ def falsify_invariance(H: HybridSystem, kc: KComplex, budget: FalsifyBudget, *,
                        box, seed: int = 0) -> FalsifyResult:
     """Multi-start search for an arc leaving K; policies from the pool cycle
     across starts. Stops at the first start whose arc leaves K, so the result
-    is deterministic for a fixed seed."""
-    starts = _start_points(kc, box, budget.starts, budget.boundary_band, seed)
+    is deterministic for a fixed seed.
+
+    `solve` stop-tests every state it records, so only an arc it stopped has
+    a state outside K, and that state is the arc's last."""
+    starts = _start_points(kc, box, budget.starts, seed)
     policies = budget.policies
     K = kc.K
-    exit_tol = budget.exit_tol
 
     def run(s_idx: int) -> tuple[HybridArc, ScenarioResult] | None:
         p_idx = s_idx % len(policies)
         try:
             arc = solve(H, starts[s_idx], policies[p_idx], budget.horizon, kc=kc,
                         seed=(seed, s_idx, p_idx),
-                        stop_when=lambda y: K.classify(y, exit_tol) == geo.Membership.OUTSIDE)
-            scenario = scenario_classify(arc, K, exit_tol)
+                        stop_when=lambda y: K.classify(y, _EXIT_TOL) == geo.Membership.OUTSIDE)
+            if "stopped-by-predicate" not in arc.flags:
+                return None
+            return arc, scenario_classify(arc, K, _EXIT_TOL)
         except (geo.PreconditionError, geo.NonConvergence, EvaluationError):
             return None
-        return (arc, scenario) if scenario.kind != STAYS_IN_K else None
 
     tasks_run, hit = _first_hit(run, len(starts))
     stats = {"starts": len(starts), "policies": len(policies), "tasks_run": tasks_run}
@@ -478,24 +445,22 @@ class ProbeResult:
 
 def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
                         tau_probe: float, *, box, seed: int = 0,
-                        starts: Sequence[np.ndarray] | None = None,
-                        entry_margin: float = 1e-4) -> ProbeResult:
-    """From dK starts, test immediate entry of max_i B_i below -entry_margin
+                        starts: Sequence[np.ndarray] | None = None) -> ProbeResult:
+    """From dK starts, test immediate entry of max_i B_i below -_ENTRY_MARGIN
     after the first nontrivial flow step or jump within (0, tau_probe]."""
     if tau_probe <= 0:
         raise geo.PreconditionError("tau_probe must be positive")
     if starts is not None:
         pts = [np.asarray(s, dtype=float) for s in starts]
         for s in pts:
-            if kc.K.classify(s, budget.boundary_band) == geo.Membership.INSIDE:
+            if kc.K.classify(s, _BOUNDARY_BAND) == geo.Membership.INSIDE:
                 raise geo.PreconditionError("probe start lies in int(K); must start on dK")
     else:
-        pts = list(kc.sample_boundary_k(box, budget.starts, budget.boundary_band,
+        pts = list(kc.sample_boundary_k(box, budget.starts, _BOUNDARY_BAND,
                                         seed=seed).points)
     horizon = Horizon(tau_probe, 2, min(budget.horizon.step, tau_probe / 20.0))
     policies = (SelectionPolicy(Constant(), Constant(), Overlap("jump")),
                 SelectionPolicy(Constant(), Constant(), Overlap("flow")))
-    exit_tol = budget.exit_tol
 
     def run(task_index: int) -> tuple[str, HybridArc] | None:
         s_idx, p_idx = divmod(task_index, len(policies))
@@ -509,11 +474,11 @@ def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
         if not vals:
             return None  # only the trivial solution was produced
         worst = max(vals)
-        if worst > exit_tol:
+        if worst > _EXIT_TOL:
             return ("left", arc)
-        # lingering means the band [-entry_margin, tol] holds throughout;
+        # lingering means the band [-_ENTRY_MARGIN, tol] holds throughout;
         # dipping below the margin anywhere counts as entry
-        if min(vals) >= -entry_margin:
+        if min(vals) >= -_ENTRY_MARGIN:
             return ("lingered", arc)
         return None
 

@@ -350,3 +350,41 @@ def test_key_error_in_a_command_propagates(emitted, monkeypatch):
     monkeypatch.setattr(cli, "run_named_check", broken)
     with pytest.raises(KeyError):
         main(["check", str(emitted("thermostat"))])
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--x0", "0,1", "--policy", "const:a"],
+    ["simulate", "--x0", "0,1", "--policy", "const:2"],
+    ["simulate", "--x0", "0,1", "--policy", "adversarial:1"],
+    ["simulate", "--x0", "0,1", "--horizon", "1,x"],
+    ["simulate", "--x0", "0,a"],
+    ["simulate", "--x0", "0,1", "--overlap", "bernoulli:2"],
+    ["check", "--rho", "linear:abc"],
+    ["falsify", "--budget", "0"],
+    ["falsify", "--budget", "-3"],
+])
+def test_malformed_cli_values_exit_three(argv, emitted, capsys):
+    cfg = str(emitted("thermostat"))
+    assert main([argv[0], cfg, *argv[1:]]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_malformed_env_seed_is_a_usage_error(emitted, monkeypatch, capsys):
+    cfg = str(emitted("thermostat"))
+    monkeypatch.setenv("HIBARRIER_SEED", "abc")
+    assert main(["check", cfg, "--samples", "4"]) == 3
+    assert "error: argument --seed" in capsys.readouterr().err
+    # an explicit --seed still wins over the environment
+    assert main(["check", cfg, "--samples", "4", "--seed", "1"]) == 0
+
+
+def test_empty_corner_leg_is_flagged(emitted, tmp_path):
+    # at seed 0 no bouncing-ball anchor near dC lies in K_e cap C
+    rep = tmp_path / "c.json"
+    assert main(["check", str(emitted("bouncing-ball")), "--theorem", "boundary",
+                 "--option", "c", "--samples", "20", "--seed", "0",
+                 "--report", str(rep)]) == 0
+    check = json.loads(rep.read_text())["checks"][0]
+    assert check["status"] == "no_violation_found"
+    assert "empty-leg:boundary:c" in check["flags"]
+    assert not any(e["condition"] == "boundary:c:eqraj2" for e in check["evaluations"])

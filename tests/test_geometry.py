@@ -1,6 +1,9 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from hibarrier import fields as fl
 from hibarrier import geometry as geo
@@ -291,6 +294,86 @@ def test_transversality_opposed():
 
 def test_transversality_zero_gradient():
     assert not geo.transversality_check([np.zeros(2)]).feasible
+
+
+def _multistart_transversality(gradients, *, margin=1e-8, starts=8, seed=0):
+    """The former transversality_check, kept as the reference: min t s.t.
+    <g_i, v> <= t, |v|^2 <= 1 (the epigraph form of minimizing the max over
+    the unit ball) by multi-start SLSQP."""
+    G = np.array([np.asarray(g, dtype=float) for g in gradients])
+    n = G.shape[1]
+    if np.any(np.linalg.norm(G, axis=1) <= 1e-12):
+        return geo.Transversality(False, None, 0.0)
+
+    def objective_jac(z):
+        j = np.zeros(n + 1)
+        j[-1] = 1.0
+        return j
+
+    cons = [{"type": "ineq", "fun": lambda z, gi=g: z[-1] - float(gi @ z[:-1]),
+             "jac": lambda z, gi=g: np.concatenate([-gi, [1.0]])} for g in G]
+    cons.append({"type": "ineq", "fun": lambda z: 1.0 - float(z[:-1] @ z[:-1]),
+                 "jac": lambda z: np.concatenate([-2.0 * z[:-1], [0.0]])})
+    rng = np.random.default_rng((int(seed), zlib.crc32(b"transversality")))
+    seeds = []
+    mean = -np.sum(G / np.linalg.norm(G, axis=1, keepdims=True), axis=0)
+    if np.linalg.norm(mean) > 1e-12:
+        seeds.append(mean / np.linalg.norm(mean))
+    for g in G[:3]:
+        seeds.append(-g / np.linalg.norm(g))
+    while len(seeds) < starts:
+        u = rng.normal(size=n)
+        seeds.append(u / np.linalg.norm(u))
+    best_v, best_t = None, np.inf
+    for v0 in seeds:
+        z0 = np.concatenate([v0, [float(np.max(G @ v0))]])
+        res = minimize(lambda z: z[-1], z0, jac=objective_jac, method="SLSQP",
+                       constraints=cons, options={"maxiter": 80, "ftol": 1e-14})
+        v = np.asarray(res.x[:-1], dtype=float)
+        nv = float(np.linalg.norm(v))
+        if nv < 1e-12:
+            continue
+        v = v / nv
+        t = float(np.max(G @ v))
+        if t < best_t:
+            best_t, best_v = t, v
+        if best_t < -max(margin, 1e-6) * 10:
+            break
+    if best_v is None or best_t >= -margin:
+        return geo.Transversality(False, None, best_t if np.isfinite(best_t) else 0.0)
+    return geo.Transversality(True, best_v, best_t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n), min_size=1, max_size=4)))
+def test_transversality_matches_multistart_reference(rows):
+    grads = [np.array(r) for r in rows]
+    margin = 1e-6
+    exact = geo.transversality_check(grads, margin=margin)
+    ref = _multistart_transversality(grads, margin=margin)
+    # the exact value is the minimum the reference searches for
+    assert exact.best <= ref.best + 1e-9
+    if abs(ref.best + margin) > 1e-6:
+        assert exact.feasible == ref.feasible
+    if exact.feasible:
+        # v = -p/|p| attains best up to the solver's 1e-12 * max|g_i| stopping
+        # test and the rounding of p, which grows as |p| shrinks
+        v = exact.direction
+        scale = max(float(np.linalg.norm(g)) for g in grads)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert max(float(g @ v) for g in grads) == pytest.approx(
+            exact.best, abs=1e-11 * scale + 1e-14 * scale ** 2 / -exact.best)
+
+
+def test_transversality_closed_forms():
+    one = geo.transversality_check([np.array([3.0, -4.0])])
+    assert one.feasible and one.best == pytest.approx(-5.0, rel=1e-15)
+    assert np.allclose(one.direction, [-0.6, 0.8], atol=1e-15)
+    two = geo.transversality_check([np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])])
+    assert two.feasible and two.best == pytest.approx(-1.0 / np.sqrt(2.0), rel=1e-12)
+    opposite = geo.transversality_check([np.array([1.0, 2.0]), np.array([-2.0, -4.0])])
+    assert not opposite.feasible and opposite.direction is None
 
 
 # ---------------------------------------------------------------------------

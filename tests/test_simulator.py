@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -144,6 +145,35 @@ def test_csv_deterministic_and_structured():
         assert int(rows[i][1]) == int(rows[i - 1][1]) + 1
 
 
+_H = 1e-3
+# x2 = 0.5 after one 4-stage step of x2' = -x2: the first step lands in C and D
+_THERMOSTAT_GUARD_START = 0.5 / (1 - _H + _H ** 2 / 2 - _H ** 3 / 6 + _H ** 4 / 24)
+
+
+@pytest.mark.parametrize("name,x0,policy,horizon,seed,digest", [
+    # C exit, then a D-entry bisection under the jump-preferring overlap rule
+    ("thermostat", [0.0, _THERMOSTAT_GUARD_START],
+     sim.SelectionPolicy(overlap=sim.Overlap("jump")), sim.Horizon(2.0, 4, _H), 0,
+     "39b581980d6dc4e5791f29db9078f64a26918e8e88959785e8a5e117bbc7af41"),
+    # C exit by bisection, then a jump from D
+    ("bouncing-ball", [0.0, 1.0], sim.SelectionPolicy(), sim.Horizon(3.5, 5, _H), 0,
+     "2f5e6ee807ccc38014a2ecc425ae690585a060296616543ddf3d73f6e68e8995"),
+    # random parameters and a random flow/jump choice on C cap D
+    ("exp1", [0.5, 0.0],
+     sim.SelectionPolicy(sim.PerStepRandom(), sim.PerStepRandom(),
+                         sim.Overlap("bernoulli", 0.5)), sim.Horizon(1.0, 4, 2e-3), 8,
+     "abc029b8baa077b093fb6ca4d613b12532f7279bdcf1c71ed92b8fae6fd1b486"),
+    # no progress at the boundary of C: the feasible-flow search, then death
+    ("expcount-fixed", [-0.5, 0.0], sim.SelectionPolicy(), sim.Horizon(2.0, 2, _H), 0,
+     "f5fda48c6df29f953e81a9e4d306835014237a501cd35fa5b29151cc996fb9c2"),
+])
+def test_arc_digests(name, x0, policy, horizon, seed, digest):
+    # recorded before the event paths of solve were folded into one
+    b = example_bundle(name)
+    arc = sim.solve(b.system, x0, policy, horizon, kc=kc_of(b), seed=seed)
+    assert hashlib.sha256(sim.arc_to_csv(arc, b.barrier).encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # falsification
 
@@ -252,3 +282,29 @@ def test_constrained_equilibrium_constant_arc():
     assert arc.termination == sim.HORIZON_REACHED
     for _, _, x in arc.samples():
         assert np.allclose(x, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("name,horizon", [("thermostat", sim.Horizon(2.0, 6, 5e-3)),
+                                          ("expcount", sim.Horizon(1.5, 2, 5e-3)),
+                                          ("expillu", sim.Horizon(1.0, 2, 1e-3))])
+def test_stop_flag_marks_exactly_the_arcs_that_leave_k(name, horizon):
+    # falsify_invariance reads the flag instead of rescanning each arc
+    b = example_bundle(name)
+    kc = kc_of(b)
+    pool = sim.default_policy_pool()
+    kinds = set()
+    for s_idx, x0 in enumerate(sim._start_points(kc, b.box, 24, 0)):
+        p_idx = s_idx % len(pool)
+        arc = sim.solve(b.system, x0, pool[p_idx], horizon, kc=kc, seed=(0, s_idx, p_idx),
+                        stop_when=lambda y: kc.K.classify(y, sim._EXIT_TOL)
+                        == geo.Membership.OUTSIDE)
+        kind = mo.scenario_classify(arc, kc.K, sim._EXIT_TOL).kind
+        assert ("stopped-by-predicate" in arc.flags) == (kind != mo.STAYS_IN_K)
+        kinds.add(kind)
+    assert (len(kinds) > 1) == (name != "thermostat")
+
+
+@pytest.mark.parametrize("starts", [0, -3])
+def test_falsify_budget_needs_a_start(starts):
+    with pytest.raises(geo.PreconditionError):
+        sim.FalsifyBudget(starts=starts)
