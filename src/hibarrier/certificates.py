@@ -16,8 +16,8 @@ import numpy as np
 from . import geometry as geo
 from . import regions
 from .config import ConfigError
-from .fields import (Grid, ScalarField, Vertices, clarke_support, gradient,
-                     image_samples, filter_by_cone)
+from .fields import (CLARKE_RADIUS, Grid, ScalarField, Vertices, clarke_support,
+                     gradient, image_samples, filter_by_cone)
 from .model import BarrierCandidate, HybridSystem, KComplex, build_k_complex
 
 __all__ = [
@@ -56,16 +56,7 @@ class CheckConfig:
     scheme: object = Grid(5)     # image sampling scheme for F and G
     tol_eq: float = 1e-9         # slack for <= conditions
     margin_strict: float = 1e-6  # required margin for < conditions
-    eps_act: float = 1e-6        # active-constraint tolerance
     seed: int = 0
-    cone_tol: float = 1e-3
-    cone_h0: float = 1e-2
-    cone_decay: float = 0.5
-    cone_count: int = 20
-    cone_hmin: float = 1e-6
-    clarke_radius: float = 1e-4
-    clarke_count: int = 64
-    lipschitz_pairs: str = "projection"  # or "random"
 
     def __post_init__(self):
         if not (self.radius > self.band > 0):
@@ -75,11 +66,6 @@ class CheckConfig:
 
     def box_array(self) -> np.ndarray:
         return np.asarray(self.box, dtype=float)
-
-    def cone_query(self, x: np.ndarray, v: np.ndarray) -> geo.ConeQuery:
-        return geo.ConeQuery(x=x, v=v, h0=self.cone_h0, decay=self.cone_decay,
-                             count=self.cone_count, h_min=self.cone_hmin,
-                             tol=self.cone_tol, eps_act=self.eps_act)
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -213,11 +199,13 @@ class UniquenessFunction:
 
     @staticmethod
     def parse(text: str) -> "UniquenessFunction":
+        """linear[:k] (k = 1 when omitted) or osgood."""
         if text == "osgood":
             return UniquenessFunction("osgood")
-        if text.startswith("linear"):
+        name, colon, arg = text.partition(":")
+        if name == "linear":
             try:
-                k = float(text.split(":", 1)[1]) if ":" in text else 1.0
+                k = float(arg) if colon else 1.0
             except ValueError:
                 raise ConfigError(f"linear uniqueness function needs a number: {text!r}") from None
             return UniquenessFunction("linear", k=k)
@@ -237,8 +225,7 @@ def _filtered_images(H: HybridSystem, x: np.ndarray, cfg: CheckConfig,
                      col: _Collector) -> list[np.ndarray]:
     etas = image_samples(H.F, x, cfg.scheme)
     try:
-        return filter_by_cone(etas, H.C, x, eps_act=cfg.eps_act,
-                              cone_tol=cfg.cone_tol)
+        return filter_by_cone(etas, H.C, x)
     except geo.NonConvergence:
         col.mark_inconclusive(f"T_C filter did not converge at {x.tolist()}")
         col.flag("distance-approximate")
@@ -278,15 +265,28 @@ def _tangent_ratio(S: geo.SetDescription, x: np.ndarray, eta: np.ndarray,
     active-constraint tolerance can attribute a boundary cone to a point that
     is actually interior.
     """
-    verdict = geo.contingent_cone_member_analytic(S, x, eta, eps_act=cfg.eps_act)
+    verdict = geo.contingent_cone_member_analytic(S, x, eta)
     if verdict == geo.ConeVerdict.MEMBER:
         return 0.0
     try:
         col.flag("distance-approximate")
-        return geo.contingent_min_ratio(S, cfg.cone_query(x, eta), seed=cfg.seed)
+        return geo.contingent_min_ratio(S, x, eta, seed=cfg.seed)
     except geo.NonConvergence:
         col.mark_inconclusive(f"tangent-cone distance solve failed at {x.tolist()}")
         return None
+
+
+def _active_components(B: BarrierCandidate, x: np.ndarray, cfg: CheckConfig) -> list[int]:
+    """Indices of the barrier components that vanish at x within the band."""
+    return [i for i in range(B.m)
+            if abs(float(B.components[i].fn(x))) <= max(geo.EPS_ACT, cfg.band)]
+
+
+def _clear_of_box(pts: list[np.ndarray], box: np.ndarray) -> bool:
+    """Every point lies in the box shrunk about its center to 98%."""
+    center = 0.5 * (box[:, 0] + box[:, 1])
+    half = 0.5 * (box[:, 1] - box[:, 0])
+    return all(bool(np.all(np.abs(x - center) <= 0.98 * half)) for x in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +335,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
     # (2) transversality of active barrier gradients on dK_e cap C
     for x in regions.ke_boundary_in_c(kc, H, box, cfg.samples, cfg.band,
                                       seed=cfg.seed):
-        active = [i for i in range(B.m)
-                  if abs(float(B.components[i].fn(x))) <= max(cfg.eps_act, cfg.band)]
+        active = _active_components(B, x, cfg)
         if not active:
             continue
         grads = [gradient(B.components[i], x) for i in active]
@@ -349,13 +348,6 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
     band_pts = regions.outside_band(kc, H, box, cfg.samples, cfg.radius, cfg.band,
                                     seed=cfg.seed)
     pair_targets: list[tuple[np.ndarray, np.ndarray]] = []
-    if cfg.lipschitz_pairs == "random":
-        ys = geo.sample_boundary(kc_c, box, cfg.samples, cfg.band,
-                                 seed=cfg.seed).points
-        rng = regions.rng_for(cfg.seed, "pairs")
-        for x in band_pts:
-            if ys:
-                pair_targets.append((x, ys[int(rng.integers(len(ys)))]))
     for x in band_pts:
         try:
             y, _ = geo.project(kc_c, x, starts=8, seed=cfg.seed)
@@ -378,8 +370,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
     if option == "a":
         for x in regions.region_a(kc, H, box, cfg.samples, cfg.radius, cfg.band,
                                   seed=cfg.seed):
-            active = [i for i in range(B.m)
-                      if abs(float(B.components[i].fn(x))) <= max(cfg.eps_act, cfg.band)]
+            active = _active_components(B, x, cfg)
             if not active:
                 continue
             grads = [gradient(B.components[i], x) for i in active]
@@ -396,7 +387,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
                 ratio = _tangent_ratio(kc_c, x, eta, cfg, col)
                 if ratio is None:
                     continue
-                col.add("boundary:b:eqraj2", x, min(ratio, 1e6), cfg.cone_tol, eta=eta)
+                col.add("boundary:b:eqraj2", x, min(ratio, 1e6), geo.CONE_TOL, eta=eta)
     else:
         convex_ok = True
         c_pts = geo.sample(H.C, box, 2 * cfg.samples, seed=cfg.seed).points[:40]
@@ -425,7 +416,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
                     ratio = _tangent_ratio(kc_c, x, eta, cfg, col)
                     if ratio is None:
                         continue
-                    col.add("boundary:c:eqraj2", x, min(ratio, 1e6), cfg.cone_tol, eta=eta)
+                    col.add("boundary:c:eqraj2", x, min(ratio, 1e6), geo.CONE_TOL, eta=eta)
 
     _jump_legs(col, kc, H, cfg, strict=False, prefix="boundary")
     return col.finish(f"boundary:{option}", cfg)
@@ -441,11 +432,11 @@ def check_thm_external(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) -
                                   seed=cfg.seed):
         for eta in _filtered_images(H, x, cfg, col):
             try:
-                rate = geo.external_min_ratio(kc.K, cfg.cone_query(x, eta), seed=cfg.seed)
+                rate = geo.external_min_ratio(kc.K, x, eta, seed=cfg.seed)
             except geo.NonConvergence:
                 col.mark_inconclusive(f"external-cone distance solve failed at {x.tolist()}")
                 continue
-            col.add("external:flow", x, rate, cfg.cone_tol, eta=eta)
+            col.add("external:flow", x, rate, geo.CONE_TOL, eta=eta)
     _jump_legs(col, kc, H, cfg, strict=False, prefix="external")
     return col.finish("external", cfg)
 
@@ -462,8 +453,7 @@ def check_thm_lipschitz(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) 
     for x in regions.outside_band(kc, H, box, cfg.samples, cfg.radius, cfg.band,
                                   seed=cfg.seed):
         for eta in _filtered_images(H, x, cfg, col):
-            val = clarke_support(bar, x, eta, radius=cfg.clarke_radius,
-                                 count=cfg.clarke_count, seed=cfg.seed)
+            val = clarke_support(bar, x, eta, seed=cfg.seed)
             col.add("lipschitz:flow", x, val, cfg.tol_eq, eta=eta)
     col.flag("clarke-sampled")
     _jump_legs(col, kc, H, cfg, strict=False, prefix="lipschitz")
@@ -495,8 +485,7 @@ def check_relaxed(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
                                       seed=cfg.seed):
             rhs = rho(float(bar.fn(x)))
             for eta in _filtered_images(H, x, cfg, col):
-                val = clarke_support(bar, x, eta, radius=cfg.clarke_radius,
-                                     count=cfg.clarke_count, seed=cfg.seed)
+                val = clarke_support(bar, x, eta, seed=cfg.seed)
                 col.add("relaxed:flow-lipschitz", x, val - rhs, cfg.tol_eq, eta=eta)
         col.flag("clarke-sampled")
     else:
@@ -515,9 +504,7 @@ def _no_finite_escape_note(kc: KComplex, H: HybridSystem, cfg: CheckConfig,
     if not pts:
         col.note("no-finite-escape heuristic: K cap C produced no samples")
         return
-    center = 0.5 * (box[:, 0] + box[:, 1])
-    half = 0.5 * (box[:, 1] - box[:, 0])
-    inside = all(bool(np.all(np.abs(x - center) <= 0.98 * half)) for x in pts)
+    inside = _clear_of_box(pts, box)
     sup_f = 0.0
     for x in pts:
         for eta in image_samples(H.F, x, cfg.scheme):
@@ -552,13 +539,13 @@ def _persistent_neighborhood_failures(
         level_worst: tuple[float, np.ndarray] | None = None
         for p in pts:
             val = fail_value(p)
-            if val is not None and val > cfg.cone_tol:
+            if val is not None and val > geo.CONE_TOL:
                 if level_worst is None or val > level_worst[0]:
                     level_worst = (val, p)
         worst_at_level.append(level_worst)
     if all(w is not None for w in worst_at_level):
         val, p = worst_at_level[-1]  # smallest radius
-        col.add(condition, p, val, cfg.cone_tol,
+        col.add(condition, p, val, geo.CONE_TOL,
                 note=f"persists across shrinking neighborhoods of {x_o.tolist()}")
     elif any(w is not None for w in worst_at_level):
         col.note(f"{condition}: transient neighborhood failures near "
@@ -579,7 +566,7 @@ def _completion_leg(kc: KComplex, H: HybridSystem, cfg: CheckConfig, col: _Colle
             if r is None:
                 continue
             best = r if best is None else min(best, r)
-            if best <= cfg.cone_tol:
+            if best <= geo.CONE_TOL:
                 break
         return None if best is None else min(best, 1e6)
 
@@ -589,7 +576,7 @@ def _completion_leg(kc: KComplex, H: HybridSystem, cfg: CheckConfig, col: _Colle
         if best is None:
             col.mark_inconclusive(f"no usable flow directions at {x_o.tolist()}")
             continue
-        col.add(condition, x_o, best, cfg.cone_tol)
+        col.add(condition, x_o, best, geo.CONE_TOL)
         if neighborhood:
             _persistent_neighborhood_failures(kc, H, cfg, col, x_o, neighborhood, min_ratio)
     if not pts:
@@ -612,21 +599,6 @@ def check_invariance_completion(H: HybridSystem, B: BarrierCandidate,
     return col.finish(f"invariance:{mode}", cfg)
 
 
-def _active_equality_gradients(kc: KComplex, H: HybridSystem, x: np.ndarray,
-                               cfg: CheckConfig) -> list[np.ndarray]:
-    """Gradients of all constraints active at x among C leaves and barrier
-    components (the active-constraint description of dC cap dK)."""
-    grads: list[np.ndarray] = []
-    eps = max(cfg.eps_act, cfg.band)
-    for leaf in H.C.leaves():
-        if abs(float(leaf.constraint.value_checked(x))) <= eps:
-            grads.append(gradient(leaf.constraint, x))
-    for comp in kc.barrier.components:
-        if abs(float(comp.fn(x))) <= eps:
-            grads.append(gradient(comp, x))
-    return grads
-
-
 def _with_hull_edges(etas: list[np.ndarray]) -> list[np.ndarray]:
     """Augment image samples with pairwise midpoints (members of the convex
     hull, hence of convex images) to reduce emptiness-test misses."""
@@ -639,45 +611,38 @@ def _with_hull_edges(etas: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
+def _negated(c: ScalarField) -> ScalarField:
+    return ScalarField(c.n, lambda y: -float(c.fn(y)), grad=lambda y: -gradient(c, y),
+                       name=f"-{c.name}")
+
+
 def _corner_emptiness_leg(col: _Collector, kc: KComplex, H: HybridSystem,
                           cfg: CheckConfig, prefix: str) -> None:
     """F(x) cap T_{dC cap dK}(x) must be empty on dK cap dC."""
     box = cfg.box_array()
-    eps = max(cfg.eps_act, cfg.band)
+    eps = max(geo.EPS_ACT, cfg.band)
     for x in regions.dk_dc(kc, H, box, cfg.samples, cfg.band, seed=cfg.seed):
-        grads = _active_equality_gradients(kc, H, x, cfg)
+        # the constraints active at x among C leaves and barrier components:
+        # the active-constraint description of dC cap dK
+        active = ([leaf.constraint for leaf in H.C.leaves()
+                   if abs(float(leaf.constraint.value_checked(x))) <= eps]
+                  + [comp for comp in kc.barrier.components if abs(float(comp.fn(x))) <= eps])
+        grads = [gradient(c, x) for c in active]
+        eq_set = geo.SetDescription(kc.n, geo.Intersection(tuple(
+            geo.Leaf(f) for c in active for f in (c, _negated(c)))), name="dC_cap_dK")
         for eta in _with_hull_edges(image_samples(H.F, x, Vertices())
                                     if H.F.k <= _HULL_VERTEX_CAP
                                     else image_samples(H.F, x, cfg.scheme)):
-            if grads and any(abs(float(g @ eta)) > cfg.margin_strict for g in grads):
+            if not active or any(abs(float(g @ eta)) > cfg.margin_strict for g in grads):
                 continue  # eta transversal to some active level set: not tangent
             # confirm numerically against the equality description
-            eq_leaves: list[geo.Leaf] = []
-            for leaf in H.C.leaves():
-                if abs(float(leaf.constraint.value_checked(x))) <= eps:
-                    c = leaf.constraint
-                    eq_leaves.append(geo.Leaf(c))
-                    eq_leaves.append(geo.Leaf(ScalarField(
-                        c.n, (lambda y, _c=c: -float(_c.fn(y))),
-                        grad=(lambda y, _c=c: -gradient(_c, y)), name=f"-{c.name}")))
-            for comp in kc.barrier.components:
-                if abs(float(comp.fn(x))) <= eps:
-                    eq_leaves.append(geo.Leaf(comp))
-                    eq_leaves.append(geo.Leaf(ScalarField(
-                        comp.n, (lambda y, _c=comp: -float(_c.fn(y))),
-                        grad=(lambda y, _c=comp: -gradient(_c, y)), name=f"-{comp.name}")))
-            if not eq_leaves:
-                continue
-            eq_set = geo.SetDescription(kc.n, geo.Intersection(tuple(eq_leaves)),
-                                        name="dC_cap_dK")
             try:
-                ratio = geo.contingent_min_ratio(eq_set, cfg.cone_query(x, eta),
-                                                 seed=cfg.seed)
+                ratio = geo.contingent_min_ratio(eq_set, x, eta, seed=cfg.seed)
             except geo.NonConvergence:
                 col.mark_inconclusive(f"corner tangency solve failed at {x.tolist()}")
                 continue
             # violation when eta is tangent to the corner set (ratio small)
-            col.add(f"{prefix}:corner-empty", x, -min(ratio, 1e6), -cfg.cone_tol, eta=eta)
+            col.add(f"{prefix}:corner-empty", x, -min(ratio, 1e6), -geo.CONE_TOL, eta=eta)
 
 
 def check_contractive_c1(H: HybridSystem, B: BarrierCandidate,
@@ -707,7 +672,7 @@ def check_contractive_lip(H: HybridSystem, B: BarrierCandidate,
     strict jump legs.
 
     The sampled support under-approximates the true one, so satisfaction
-    subtracts a 2*clarke_radius safety margin.
+    subtracts a 2 * CLARKE_RADIUS safety margin.
     """
     kc = build_k_complex(H, B)
     bar = kc.bar
@@ -718,11 +683,10 @@ def check_contractive_lip(H: HybridSystem, B: BarrierCandidate,
     pts = regions.ke_c_volume(kc, H, box, cfg.samples, seed=cfg.seed)
     pts += regions.ke_boundary_in_c(kc, H, box, cfg.samples, cfg.band,
                                     seed=cfg.seed)
-    bound = -(cfg.margin_strict + 2.0 * cfg.clarke_radius)
+    bound = -(cfg.margin_strict + 2.0 * CLARKE_RADIUS)
     for x in pts:
         for eta in _filtered_images(H, x, cfg, col):
-            val = clarke_support(bar, x, eta, radius=cfg.clarke_radius,
-                                 count=cfg.clarke_count, seed=cfg.seed)
+            val = clarke_support(bar, x, eta, seed=cfg.seed)
             col.add("contract-lip:flow", x, val, bound, eta=eta)
     col.flag("clarke-sampled")
     _corner_emptiness_leg(col, kc, H, cfg, prefix="contract-lip")
@@ -763,9 +727,7 @@ def _cset_spot_checks(kc: KComplex, H: HybridSystem, cfg: CheckConfig,
             col.mark_inconclusive(f"C-set precondition fails: K not convex at "
                                   f"midpoint {mid.tolist()}")
             return False
-    center = 0.5 * (box[:, 0] + box[:, 1])
-    half = 0.5 * (box[:, 1] - box[:, 0])
-    if not all(bool(np.all(np.abs(x - center) <= 0.98 * half)) for x in pts):
+    if not _clear_of_box(pts, box):
         col.note("compactness heuristic: K samples touch the bounding box")
     return True
 
@@ -790,8 +752,7 @@ def check_cset(H: HybridSystem, B: BarrierCandidate | None, cfg: CheckConfig,
     if not _cset_spot_checks(kc, H, cfg, col):
         return col.finish(f"cset:{direction}", cfg)
 
-    hs = [h for h in (cfg.cone_h0 * cfg.cone_decay ** i for i in range(cfg.cone_count))
-          if h >= _CSET_H_FLOOR]
+    hs = [h for h in geo.CONE_H if h >= _CSET_H_FLOOR]
 
     if direction == "minkowski":
         for x in regions.boundary_k_in_c(kc, H, box, cfg.samples, cfg.band,

@@ -134,16 +134,15 @@ def cmd_check(args) -> int:
 
 
 def _parse_policy(text: str) -> tuple[sim.Rule, sim.Rule]:
+    name, colon, arg = text.partition(":")
     try:
         if text == "random":
             return sim.PerStepRandom(), sim.PerStepRandom()
-        if text.startswith("adversarial"):
-            d = int(text.split(":", 1)[1]) if ":" in text else 5
+        if name == "adversarial":
+            d = int(arg) if colon else 5
             return sim.AdversarialGrid(d), sim.AdversarialGrid(d)
-        if text.startswith("const"):
-            lam = ()
-            if ":" in text:
-                lam = tuple(float(v) for v in text.split(":", 1)[1].split(",") if v)
+        if name == "const":
+            lam = tuple(float(v) for v in arg.split(",") if v)
             return sim.Constant(lam), sim.Constant(lam)
     except ValueError as e:
         raise ConfigError(f"bad --policy {text!r}: {e}") from None
@@ -184,6 +183,10 @@ def cmd_simulate(args) -> int:
     if x0.size != bundle.system.n:
         raise ConfigError(f"--x0 needs {bundle.system.n} components")
     flow_rule, jump_rule = _parse_policy(args.policy)
+    k = bundle.system.F.k
+    if isinstance(flow_rule, sim.Constant) and len(flow_rule.lam) not in (0, k):
+        raise ConfigError(f"--policy {args.policy!r} gives {len(flow_rule.lam)} "
+                          f"parameters; the system has {k}")
     policy = sim.SelectionPolicy(flow_rule, jump_rule, _parse_overlap(args.overlap))
     horizon = _parse_horizon(args.horizon, args.step)
     try:
@@ -346,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="compute one hybrid solution candidate")
     ps.add_argument("config")
     ps.add_argument("--x0", required=True, help="comma-separated initial state")
-    ps.add_argument("--policy", default="const:0.5")
+    ps.add_argument("--policy", default="const",
+                    help="const[:l1,...,lk] (no values: 0.5 each), random, "
+                         "or adversarial[:d]")
     ps.add_argument("--overlap", default="flow")
     ps.add_argument("--horizon", default="1,4", help="T,J")
     ps.add_argument("--step", type=float, default=1e-3)

@@ -63,21 +63,18 @@ def _set_from_tree(tree, n: int, constants: dict, where: str) -> geo.Node:
         return geo.Leaf(_field_from_expr(tree, n, constants, where))
     if isinstance(tree, dict):
         if "leaf" in tree:
-            strict = bool(tree.get("strict", False))
+            strict = tree.get("strict", False)
+            if not isinstance(strict, bool):
+                raise ConfigError(f"{where}: 'strict' must be true or false")
             return geo.Leaf(_field_from_expr(tree["leaf"], n, constants, where),
                             strict=strict)
-        if "all" in tree:
-            children = tuple(_set_from_tree(c, n, constants, f"{where}.all[{i}]")
-                             for i, c in enumerate(tree["all"]))
-            if not children:
-                raise ConfigError(f"{where}: empty 'all'")
-            return geo.Intersection(children)
-        if "any" in tree:
-            children = tuple(_set_from_tree(c, n, constants, f"{where}.any[{i}]")
-                             for i, c in enumerate(tree["any"]))
-            if not children:
-                raise ConfigError(f"{where}: empty 'any'")
-            return geo.Union(children)
+        for key, node in (("all", geo.Intersection), ("any", geo.Union)):
+            if key in tree:
+                items = tree[key]
+                if not isinstance(items, list) or not items:
+                    raise ConfigError(f"{where}: '{key}' must be a nonempty array")
+                return node(tuple(_set_from_tree(c, n, constants, f"{where}.{key}[{i}]")
+                                  for i, c in enumerate(items)))
     raise ConfigError(f"{where}: set trees are expression strings or objects "
                       "with 'leaf'/'all'/'any'")
 
@@ -91,25 +88,24 @@ def _map_from_exprs(exprs, n: int, k: int, constants: dict, where: str,
     return SetValuedMap(n=n, k=k, fn=ex.compile_vector(asts), name=name)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: bool is an int subclass in Python, so it is excluded."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def system_from_dict(doc: dict, source: str = "<dict>") -> SystemBundle:
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
-    try:
-        n = int(doc["dim"])
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError(f"{source}: missing or invalid 'dim'")
-    if n < 1:
-        raise ConfigError(f"{source}: 'dim' must be >= 1")
+    n = doc.get("dim")
+    if not _is_int(n) or n < 1:
+        raise ConfigError(f"{source}: 'dim' must be an integer >= 1")
     try:
         constants = {str(k): float(v) for k, v in doc.get("constants", {}).items()}
     except (AttributeError, TypeError, ValueError):
         raise ConfigError(f"{source}: 'constants' must map names to numbers")
-    try:
-        k = int(doc.get("params", 0))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{source}: 'params' must be an integer")
-    if k < 0:
-        raise ConfigError(f"{source}: 'params' must be >= 0")
+    k = doc.get("params", 0)
+    if not _is_int(k) or k < 0:
+        raise ConfigError(f"{source}: 'params' must be an integer >= 0")
     if not isinstance(doc.get("notes", []), list):
         raise ConfigError(f"{source}: 'notes' must be an array")
     if not isinstance(doc.get("expected", {}), dict):
@@ -144,8 +140,9 @@ def system_from_dict(doc: dict, source: str = "<dict>") -> SystemBundle:
         box = np.asarray(doc["box"], dtype=float)
     except (TypeError, ValueError):
         box = np.empty(0)  # ragged or not numeric: fails the shape check below
-    if box.shape != (n, 2) or np.any(box[:, 1] <= box[:, 0]):
-        raise ConfigError(f"{source}: 'box' must be {n} pairs [lo, hi] with lo < hi")
+    if (box.shape != (n, 2) or not np.all(np.isfinite(box))
+            or not np.all(box[:, 0] < box[:, 1])):
+        raise ConfigError(f"{source}: 'box' must be {n} finite pairs [lo, hi] with lo < hi")
 
     system = HybridSystem(n=n, C=C, F=F, D=D, G=G,
                           name=str(doc.get("name", source)), constants=constants)

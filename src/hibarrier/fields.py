@@ -13,10 +13,8 @@ __all__ = [
     "EvaluationError",
     "BudgetError",
     "ScalarField",
-    "ClarkeSample",
     "SetValuedMap",
     "gradient",
-    "clarke_sample",
     "clarke_support",
     "image_samples",
     "filter_by_cone",
@@ -27,6 +25,10 @@ __all__ = [
 
 C1 = "c1"
 LIPSCHITZ = "lipschitz"
+
+# Clarke gradients are sampled at CLARKE_COUNT points within CLARKE_RADIUS
+CLARKE_RADIUS = 1e-4
+CLARKE_COUNT = 64
 
 
 class EvaluationError(ArithmeticError):
@@ -90,16 +92,6 @@ def gradient(f: ScalarField, x: Sequence[float] | np.ndarray,
     return g
 
 
-@dataclass(frozen=True)
-class ClarkeSample:
-    """Gradient samples near a base point, for locally Lipschitz fields."""
-
-    x: np.ndarray
-    gradients: np.ndarray  # (count, n)
-    radius: float
-    count: int
-
-
 def _ball_points(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     u = rng.normal(size=(count, n))
     norms = np.linalg.norm(u, axis=1, keepdims=True)
@@ -108,14 +100,21 @@ def _ball_points(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return u / norms * radii
 
 
-def clarke_sample(f: ScalarField, x: Sequence[float] | np.ndarray,
-                  radius: float = 1e-4, count: int = 64,
-                  seed: int = 0) -> ClarkeSample:
-    """Finite-difference gradients at points perturbed within `radius` of x.
+def clarke_support(f: ScalarField, x: Sequence[float] | np.ndarray,
+                   v: Sequence[float] | np.ndarray, radius: float = CLARKE_RADIUS,
+                   count: int = CLARKE_COUNT, seed: int = 0) -> float:
+    """Sampled support function max_k <zeta_k, v> of the Clarke gradient at x.
 
-    Non-finite samples are discarded and redrawn (the zero-measure set of
-    non-differentiability is avoided with probability one).
+    The zeta_k are finite-difference gradients at `count` points perturbed
+    within `radius` of x; non-finite samples are discarded and redrawn (the
+    zero-measure set of non-differentiability is avoided with probability
+    one). An under-approximation of the true support value; deterministic
+    per seed. Smooth fields with an analytic gradient use it directly
+    (singleton set).
     """
+    v = np.asarray(v, dtype=float)
+    if f.grad is not None and f.tag == C1:
+        return float(np.dot(gradient(f, x), v))
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng((int(seed), 0x5C1A))
     grads: list[np.ndarray] = []
@@ -142,22 +141,7 @@ def clarke_sample(f: ScalarField, x: Sequence[float] | np.ndarray,
                     break
     if not grads:
         raise EvaluationError("no finite Clarke gradient samples", x)
-    return ClarkeSample(x=x, gradients=np.array(grads), radius=radius, count=len(grads))
-
-
-def clarke_support(f: ScalarField, x: Sequence[float] | np.ndarray,
-                   v: Sequence[float] | np.ndarray,
-                   radius: float = 1e-4, count: int = 64, seed: int = 0) -> float:
-    """Sampled support function max_k <zeta_k, v> of the Clarke gradient at x.
-
-    An under-approximation of the true support value; deterministic per seed.
-    Smooth fields with an analytic gradient use it directly (singleton set).
-    """
-    v = np.asarray(v, dtype=float)
-    if f.grad is not None and f.tag == C1:
-        return float(np.dot(gradient(f, x), v))
-    sample = clarke_sample(f, x, radius=radius, count=count, seed=seed)
-    return float(np.max(sample.gradients @ v))
+    return float(np.max(np.array(grads) @ v))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +153,6 @@ class SetValuedMap:
     n: int
     k: int
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    convex_images: bool = True
     name: str = ""
 
     def __call__(self, x: Sequence[float] | np.ndarray,
@@ -230,9 +213,8 @@ def image_samples(F: SetValuedMap, x: Sequence[float] | np.ndarray,
     return out
 
 
-def filter_by_cone(etas: Iterable[np.ndarray], S, x: Sequence[float] | np.ndarray,
-                   *, eps_act: float = 1e-6, cone_tol: float = 1e-3,
-                   membership_tol: float = 1e-9) -> list[np.ndarray]:
+def filter_by_cone(etas: Iterable[np.ndarray], S,
+                   x: Sequence[float] | np.ndarray) -> list[np.ndarray]:
     """Keep directions with contingent membership in T_S(x).
 
     Interior points keep everything (the cone is all of R^n there); otherwise
@@ -244,15 +226,13 @@ def filter_by_cone(etas: Iterable[np.ndarray], S, x: Sequence[float] | np.ndarra
     etas = [np.asarray(e, dtype=float) for e in etas]
     if not etas:
         return []
-    cls = S.classify(x, membership_tol)
-    if cls == geometry.Membership.INSIDE:
+    if S.classify(x, 1e-9) == geometry.Membership.INSIDE:
         return list(etas)
     kept = []
     for eta in etas:
-        verdict = geometry.contingent_cone_member_analytic(S, x, eta, eps_act=eps_act)
+        verdict = geometry.contingent_cone_member_analytic(S, x, eta)
         if verdict == geometry.ConeVerdict.NOT_APPLICABLE:
-            q = geometry.ConeQuery(x=x, v=eta, tol=cone_tol, eps_act=eps_act)
-            if geometry.contingent_cone_member_numeric(S, q):
+            if geometry.contingent_min_ratio(S, x, eta) <= geometry.CONE_TOL:
                 kept.append(eta)
         elif verdict == geometry.ConeVerdict.MEMBER:
             kept.append(eta)

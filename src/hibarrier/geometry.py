@@ -27,17 +27,14 @@ __all__ = [
     "Intersection",
     "Union",
     "SetDescription",
-    "ConeQuery",
     "SampleResult",
     "Transversality",
     "project",
     "minkowski",
     "transversality_check",
     "contingent_cone_member_analytic",
-    "contingent_cone_member_numeric",
     "contingent_min_ratio",
     "dm_cone_member",
-    "external_cone_member",
     "external_min_ratio",
     "sample",
     "sample_boundary",
@@ -62,6 +59,16 @@ class NonConvergence(RuntimeError):
 
 class PreconditionError(ValueError):
     pass
+
+
+# Fixed numerical settings of the infinitesimal conditions.
+EPS_ACT = 1e-6   # a constraint is active at x when |c(x)| <= EPS_ACT
+CONE_TOL = 1e-3  # a cone ratio at most CONE_TOL counts as membership
+# the h-sequence of the liminf-style cone ratios: 1e-2 * 0.5^i, i < 20,
+# down to the distance solver's noise floor 1e-6
+CONE_H = tuple(h for h in (1e-2 * 0.5 ** i for i in range(20)) if h >= 1e-6)
+_FEAS_TOL = 1e-9       # projection and restoration: max_j c_j(y) <= _FEAS_TOL
+_PROJECT_MAXITER = 80  # SLSQP iterations per projection start
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +292,7 @@ def term_constraint(leaves: Sequence[Leaf]) -> dict:
 
 
 def _project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray],
-                  feas_tol: float, maxiter: int) -> tuple[np.ndarray, float] | None:
+                  maxiter: int) -> tuple[np.ndarray, float] | None:
     """Closest point to z on the intersection of leaf sublevel sets, or None."""
     constraints = [term_constraint(leaves)]
 
@@ -306,9 +313,9 @@ def _project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray
         except (EvaluationError, FloatingPointError):
             continue
         y = _newton_feasibility(leaves, np.asarray(res.x, dtype=float), 4,
-                                slack=feas_tol * 1e-3)
+                                slack=_FEAS_TOL * 1e-3)
         vals = [leaf.constraint.value_checked(y) for leaf in leaves]
-        if max(vals) > feas_tol:
+        if max(vals) > _FEAS_TOL:
             continue
         d = float(np.linalg.norm(y - z))
         if best is None or d < best[1] - 1e-12 * (1.0 + best[1]):
@@ -335,8 +342,7 @@ def _term_lower_bound(leaves: Sequence[Leaf], x: np.ndarray) -> float:
 
 
 def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
-            seed: int = 0, warm: np.ndarray | None = None, feas_tol: float = 1e-9,
-            maxiter: int = 80) -> tuple[np.ndarray, float]:
+            seed: int = 0, warm: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(y, d): a closest point y of S (its closure) to x and d = |x - y|, which
     approximates inf_{y in S} |x - y| from above, by multi-start local descent."""
     x = np.asarray(x, dtype=float)
@@ -358,7 +364,7 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
         while len(term_starts) < max(3, starts):
             radius = scale * float(rng.uniform(0.05, 1.5))
             term_starts.append(x + radius * rng.normal(size=S.n) / np.sqrt(S.n))
-        got = _project_term(leaves, x, term_starts, feas_tol, maxiter)
+        got = _project_term(leaves, x, term_starts, _PROJECT_MAXITER)
         if got is not None and (best is None or got[1] < best[1]):
             best = got
     if best is None:
@@ -366,8 +372,7 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
     return best
 
 
-def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray, *,
-                   seed: int = 0, feas_tol: float = 1e-9) -> np.ndarray | None:
+def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray) -> np.ndarray | None:
     """A nearby (not necessarily closest) point of S: Newton restoration on the
     most promising DNF term, one local solve as fallback. Cheap enough for
     samplers; use project() when the minimizer itself matters."""
@@ -378,11 +383,10 @@ def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray, *,
     terms = sorted(closed.dnf(), key=lambda lv: _term_lower_bound(lv, x))
     for leaves in terms:
         y = _newton_feasibility(leaves, x, iters=30)
-        if max(leaf.constraint.value_checked(y) for leaf in leaves) <= feas_tol:
+        if max(leaf.constraint.value_checked(y) for leaf in leaves) <= _FEAS_TOL:
             return y
     for leaves in terms[:2]:
-        got = _project_term(leaves, x, [x.copy(), _newton_feasibility(leaves, x)],
-                            feas_tol, 40)
+        got = _project_term(leaves, x, [x.copy(), _newton_feasibility(leaves, x)], 40)
         if got is not None:
             return got[0]
     return None
@@ -390,31 +394,6 @@ def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray, *,
 
 # ---------------------------------------------------------------------------
 # Cones
-
-
-@dataclass(frozen=True)
-class ConeQuery:
-    """Base point, direction, and the h-sequence for liminf-style cone tests."""
-
-    x: np.ndarray
-    v: np.ndarray
-    h0: float = 1e-2
-    decay: float = 0.5
-    count: int = 20
-    h_min: float = 1e-6  # distance-solver noise floor; see module docs
-    tol: float = 1e-3
-    eps_act: float = 1e-6
-
-    def __post_init__(self):
-        if not (self.h0 > 0 and 0 < self.decay < 1 and self.count >= 4):
-            raise PreconditionError("need h0 > 0, decay in (0,1), count >= 4")
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-
-    def h_values(self) -> list[float]:
-        hs = [self.h0 * self.decay ** i for i in range(self.count)]
-        kept = [h for h in hs if h >= self.h_min]
-        return kept if kept else hs[:1]
 
 
 @dataclass(frozen=True)
@@ -487,8 +466,7 @@ def transversality_check(gradients: Sequence[np.ndarray], *,
     return Transversality(feasible, -p / pn if feasible else None, -pn if pn else 0.0)
 
 
-def _active_leaves(S: SetDescription, x: np.ndarray,
-                   eps_act: float) -> tuple[list[Leaf], bool] | None:
+def _active_leaves(S: SetDescription, x: np.ndarray) -> tuple[list[Leaf], bool] | None:
     """(active leaves, any_outside) for pure intersections; None for unions."""
     leaves = S.flat_intersection_leaves()
     if leaves is None:
@@ -496,16 +474,15 @@ def _active_leaves(S: SetDescription, x: np.ndarray,
     active: list[Leaf] = []
     for leaf in leaves:
         v = leaf.constraint.value_checked(x)
-        if v > eps_act:
+        if v > EPS_ACT:
             return active, True
-        if abs(v) <= eps_act:
+        if abs(v) <= EPS_ACT:
             active.append(leaf)
     return active, False
 
 
 def contingent_cone_member_analytic(S: SetDescription, x: Sequence[float] | np.ndarray,
-                                    v: Sequence[float] | np.ndarray,
-                                    eps_act: float = 1e-6) -> ConeVerdict:
+                                    v: Sequence[float] | np.ndarray) -> ConeVerdict:
     """Gradient test for T_S(x) on intersections of smooth sublevel leaves.
 
     Member iff <grad c_j(x), v> <= 0 for every active j; NotApplicable when the
@@ -513,7 +490,7 @@ def contingent_cone_member_analytic(S: SetDescription, x: Sequence[float] | np.n
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    got = _active_leaves(S, x, eps_act)
+    got = _active_leaves(S, x)
     if got is None:
         return ConeVerdict.NOT_APPLICABLE
     active, outside = got
@@ -531,17 +508,16 @@ def contingent_cone_member_analytic(S: SetDescription, x: Sequence[float] | np.n
 
 
 def dm_cone_member(S: SetDescription, x: Sequence[float] | np.ndarray,
-                   v: Sequence[float] | np.ndarray, eps_act: float = 1e-6,
-                   margin: float = 1e-8) -> ConeVerdict:
+                   v: Sequence[float] | np.ndarray) -> ConeVerdict:
     """Gradient test for the interior-directions cone D_int(S)(x).
 
-    Member iff <grad c_j(x), v> < -margin for every active j. Needs nonzero
+    Member iff <grad c_j(x), v> < -1e-8 for every active j. Needs nonzero
     active gradients (not joint transversality: opposed nonzero gradients are
     a legitimate NonMember).
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    got = _active_leaves(S, x, eps_act)
+    got = _active_leaves(S, x)
     if got is None:
         return ConeVerdict.NOT_APPLICABLE
     active, outside = got
@@ -554,60 +530,54 @@ def dm_cone_member(S: SetDescription, x: Sequence[float] | np.ndarray,
         if float(np.linalg.norm(g)) <= 1e-12:
             return ConeVerdict.NOT_APPLICABLE
     for g in grads:
-        if float(g @ v) >= -margin:
+        if float(g @ v) >= -1e-8:
             return ConeVerdict.NON_MEMBER
     return ConeVerdict.MEMBER
 
 
-def _min_ratio(S: SetDescription, q: ConeQuery, seed: int, d0: float,
+def _min_ratio(S: SetDescription, x: np.ndarray, v: np.ndarray, seed: int, d0: float,
                warm: np.ndarray | None) -> float:
-    """min over the h-sequence of (dist(S, x + h v) - d0)/h, stopping once it
-    is <= q.tol; each projection starts warm from the previous one."""
+    """min over CONE_H of (dist(S, x + h v) - d0)/h, stopping once it is
+    <= CONE_TOL; each projection starts warm from the previous one."""
     best = np.inf
-    for h in q.h_values():
-        warm, d = project(S, q.x + h * q.v, starts=6, seed=seed, warm=warm)
+    for h in CONE_H:
+        warm, d = project(S, x + h * v, starts=6, seed=seed, warm=warm)
         best = min(best, (d - d0) / h)
-        if best <= q.tol:
+        if best <= CONE_TOL:
             break
     return best
 
 
-def contingent_min_ratio(S: SetDescription, q: ConeQuery, *, seed: int = 0) -> float:
-    """min over the h-sequence of distance(S, x + h v)/h.
+def contingent_min_ratio(S: SetDescription, x: Sequence[float] | np.ndarray,
+                         v: Sequence[float] | np.ndarray, *, seed: int = 0) -> float:
+    """min over CONE_H of distance(S, x + h v)/h.
 
     A sampled under-approximation of the liminf in the cone definition;
-    membership holds when the value is <= q.tol. Raises NonConvergence if the
-    distance solver fails (caller reports Inconclusive).
+    v is in the contingent cone when the value is <= CONE_TOL. Raises
+    NonConvergence if the distance solver fails (caller reports Inconclusive).
     """
-    if float(np.linalg.norm(q.v)) == 0.0:
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    if float(np.linalg.norm(v)) == 0.0:
         return 0.0
-    return _min_ratio(S, q, seed, 0.0, None)
+    return _min_ratio(S, x, v, seed, 0.0, None)
 
 
-def contingent_cone_member_numeric(S: SetDescription, q: ConeQuery, *,
-                                   seed: int = 0) -> bool:
-    """True iff the sampled liminf ratio distance(S, x + h v)/h stays <= tol."""
-    return contingent_min_ratio(S, q, seed=seed) <= q.tol
-
-
-def external_min_ratio(S: SetDescription, q: ConeQuery, *, seed: int = 0) -> float:
-    """min over the h-sequence of (dist(S, x+hv) - dist(S, x))/h."""
-    y0, d0 = project(S, q.x, starts=8, seed=seed)
-    return _min_ratio(S, q, seed, d0, y0)
-
-
-def external_cone_member(S: SetDescription, q: ConeQuery, *, seed: int = 0) -> bool:
-    """True iff the distance to S does not grow to first order along v."""
-    return external_min_ratio(S, q, seed=seed) <= q.tol
+def external_min_ratio(S: SetDescription, x: Sequence[float] | np.ndarray,
+                       v: Sequence[float] | np.ndarray, *, seed: int = 0) -> float:
+    """min over CONE_H of (dist(S, x+hv) - dist(S, x))/h; v is in the external
+    cone when the value is <= CONE_TOL."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    y0, d0 = project(S, x, starts=8, seed=seed)
+    return _min_ratio(S, x, v, seed, d0, y0)
 
 
 # ---------------------------------------------------------------------------
 # Minkowski functional (C-sets)
 
 
-def minkowski(S: SetDescription, x: Sequence[float] | np.ndarray,
-              rel_tol: float = 1e-13, max_mu: float = 1e12) -> float:
-    """inf { mu >= 0 : x in mu*S } by ray bisection on membership.
+def minkowski(S: SetDescription, x: Sequence[float] | np.ndarray) -> float:
+    """inf { mu >= 0 : x in mu*S } by ray bisection on membership, to a
+    relative width of 1e-13, over scalings up to 1e12.
 
     Requires 0 in int(S) (the C-set precondition), checked by membership.
     """
@@ -624,7 +594,7 @@ def minkowski(S: SetDescription, x: Sequence[float] | np.ndarray,
     hi = 1.0
     while not member(hi):
         hi *= 2.0
-        if hi > max_mu:
+        if hi > 1e12:
             raise NonConvergence("no finite Minkowski scaling found (set unbounded toward x?)")
     lo = hi / 2.0
     while lo > 1e-300 and member(lo):
@@ -637,7 +607,7 @@ def minkowski(S: SetDescription, x: Sequence[float] | np.ndarray,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= 1e-13 * hi:
             break
     return hi
 
@@ -659,6 +629,11 @@ class SampleResult:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def in_box(x: np.ndarray, box: np.ndarray) -> bool:
+    """x lies in the box, up to a slack of 1e-9 on each face."""
+    return bool(np.all(x >= box[:, 0] - 1e-9) and np.all(x <= box[:, 1] + 1e-9))
 
 
 def _box_draws(rng: np.random.Generator, box: np.ndarray, count: int) -> np.ndarray:
@@ -687,14 +662,11 @@ def sample(S: SetDescription, box: Sequence[Sequence[float]] | np.ndarray, n: in
                     break
     used_projection = False
     if len(points) < n:
-        lo, hi = box[:, 0], box[:, 1]
         for x in _box_draws(rng, box, 8 * n):
             if len(points) >= n:
                 break
-            y = feasible_point(S, x, seed=seed)
-            if y is None:
-                continue
-            if np.all(y >= lo - 1e-9) and np.all(y <= hi + 1e-9):
+            y = feasible_point(S, x)
+            if y is not None and in_box(y, box):
                 points.append(y)
                 used_projection = True
     return SampleResult(points=points[:n], requested=n, achieved=len(points[:n]),

@@ -42,9 +42,6 @@ class HybridSystem:
     G: SetValuedMap
     name: str = ""
     constants: dict = field(default_factory=dict)
-    # standing-assumption flags: asserted by the modeler, not proven here
-    convex_flow_images: bool = True
-    jump_map_nonempty: bool = True
 
     def __post_init__(self):
         if not (self.C.n == self.D.n == self.F.n == self.G.n == self.n):
@@ -200,7 +197,6 @@ class KComplex:
         pool: list[np.ndarray] = []
         pool.extend(self.sample_boundary_k(box, max(2 * n, 32), band, seed=seed).points)
         pool.extend(self.sample_k(box, max(2 * n, 32), seed=seed).points)
-        lo, hi = box[:, 0], box[:, 1]
         points: list[np.ndarray] = []
         for cand in pool:
             if len(points) >= n:
@@ -219,9 +215,7 @@ class KComplex:
                 y = y - (v / gg) * g
             if not ok and abs(float(b_i.fn(y))) > min(band, 1e-9):
                 continue
-            if not (np.all(y >= lo - 1e-9) and np.all(y <= hi + 1e-9)):
-                continue
-            if self.K.classify(y, band) == geo.Membership.BOUNDARY:
+            if geo.in_box(y, box) and self.K.classify(y, band) == geo.Membership.BOUNDARY:
                 points.append(y)
         return geo.SampleResult(points=points, requested=n, achieved=len(points),
                                 short=len(points) < n)

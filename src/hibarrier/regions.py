@@ -53,14 +53,10 @@ def _ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     return (radius * float(rng.uniform()) ** (1.0 / n)) * u / nu
 
 
-def _in_box(x: np.ndarray, box: np.ndarray, slack: float = 1e-9) -> bool:
-    return bool(np.all(x >= box[:, 0] - slack) and np.all(x <= box[:, 1] + slack))
-
-
-def _pull_into(S: geo.SetDescription, p: np.ndarray, seed: int) -> np.ndarray | None:
+def _pull_into(S: geo.SetDescription, p: np.ndarray) -> np.ndarray | None:
     """p itself if it is not outside S, else a nearby point of S (None if none)."""
     if S.classify(p, 0.0) == geo.Membership.OUTSIDE:
-        return geo.feasible_point(S, p, seed=seed)
+        return geo.feasible_point(S, p)
     return p
 
 
@@ -85,7 +81,7 @@ def _perturb(rng: np.random.Generator, anchors: list[np.ndarray], n: int,
         attempts += 1
         a = anchors[int(rng.integers(len(anchors)))]
         p = step(a, a + _ball(rng, len(a), radius))
-        if p is None or float(np.linalg.norm(p - a)) > reach * radius or not _in_box(p, box):
+        if p is None or float(np.linalg.norm(p - a)) > reach * radius or not geo.in_box(p, box):
             continue
         out.append(p)
     return out
@@ -105,6 +101,13 @@ def _bk_pool(kc: KComplex, box: np.ndarray, n: int, band: float, seed: int) -> l
 
 def _k_pool(kc: KComplex, box: np.ndarray, n: int, seed: int) -> list[np.ndarray]:
     return list(kc.sample_k(box, max(3 * n, 32), seed=seed).points)
+
+
+def _bke_pool(kc: KComplex, box: np.ndarray, n: int, band: float,
+              seed: int) -> list[np.ndarray]:
+    return kc._cached(("bke", box.tobytes(), n, band, seed),
+                      lambda: geo.sample_boundary(kc.K_e, box, max(4 * n, 32), band,
+                                                  seed=seed).points)
 
 
 def _m_pool(kc: KComplex, i: int, box: np.ndarray, n: int, band: float,
@@ -142,7 +145,7 @@ def m_band(kc: KComplex, H: HybridSystem, i: int, box: np.ndarray, n: int,
             p = a - (p - a)
             if float(b_i.fn(p)) <= 1e-12:
                 return None
-        p = _pull_into(H.C, p, seed)
+        p = _pull_into(H.C, p)
         if (p is None or float(b_i.fn(p)) <= 1e-12
                 or H.C.classify(p, _IN_C_TOL) == geo.Membership.OUTSIDE):
             return None
@@ -161,7 +164,7 @@ def outside_band(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
     def step(a: np.ndarray, p: np.ndarray) -> np.ndarray | None:
         if kc.K.classify(p, 0.0) != geo.Membership.OUTSIDE:
             p = a - (p - a)
-        p = _pull_into(H.C, p, seed)
+        p = _pull_into(H.C, p)
         if (p is None or kc.K.classify(p, 0.0) != geo.Membership.OUTSIDE
                 or H.C.classify(p, _IN_C_TOL) == geo.Membership.OUTSIDE):
             return None
@@ -173,9 +176,7 @@ def outside_band(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
 def ke_boundary_in_c(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
                      band: float, seed: int) -> list[np.ndarray]:
     """Samples of dK_e cap C."""
-    pts = kc._cached(("bke", box.tobytes(), n, band, seed),
-                     lambda: geo.sample_boundary(kc.K_e, box, max(4 * n, 32), band,
-                                                 seed=seed).points)
+    pts = _bke_pool(kc, box, n, band, seed)
     out = [x for x in pts if H.C.classify(x, _IN_C_TOL) != geo.Membership.OUTSIDE]
     return out[:n]
 
@@ -184,9 +185,7 @@ def anchors_ke_dc(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
                   band: float, seed: int) -> list[np.ndarray]:
     """Approximate dK_e cap dC: boundary points of K_e that are boundary-
     classified for C at the band tolerance."""
-    pts = kc._cached(("bke", box.tobytes(), n, band, seed),
-                     lambda: geo.sample_boundary(kc.K_e, box, max(4 * n, 32), band,
-                                                 seed=seed).points)
+    pts = _bke_pool(kc, box, n, band, seed)
     out = [x for x in pts if H.C.classify(x, band) == geo.Membership.BOUNDARY]
     return out[:n]
 
@@ -202,7 +201,7 @@ def region_a(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
     def step(a: np.ndarray, p: np.ndarray) -> np.ndarray | None:
         if bar.bar_value(p) <= 0.0:
             p = a - (p - a)
-        y = geo.feasible_point(kc.K_e, p, seed=seed)
+        y = geo.feasible_point(kc.K_e, p)
         if (y is None or H.C.classify(y, 0.0) != geo.Membership.OUTSIDE
                 or abs(bar.bar_value(y)) > band):
             return None
@@ -223,7 +222,7 @@ def region_b(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
             p = a - (p - a)
             if H.C.classify(p, 0.0) != geo.Membership.OUTSIDE:
                 return None
-        y = geo.feasible_point(H.C, p, seed=seed)
+        y = geo.feasible_point(H.C, p)
         if (y is None or kc.K_e.classify(y, _IN_C_TOL) == geo.Membership.OUTSIDE
                 or H.C.classify(y, band) != geo.Membership.BOUNDARY):
             return None
@@ -293,7 +292,7 @@ def _strict_leaf_targets(kc: KComplex, H: HybridSystem, box: np.ndarray,
             except (EvaluationError, FloatingPointError):
                 continue
             y = np.asarray(res.x, dtype=float)
-            if abs(float(c.value_checked(y))) <= 1e-8 and _in_box(y, box):
+            if abs(float(c.value_checked(y))) <= 1e-8 and geo.in_box(y, box):
                 out.append(y)
     return out
 
@@ -343,7 +342,7 @@ def neighborhood_on_kdc(kc: KComplex, H: HybridSystem, x_o: np.ndarray,
     """Points of K cap dC within `radius` of x_o."""
 
     def step(a: np.ndarray, p: np.ndarray) -> np.ndarray | None:
-        p = _pull_into(H.C, p, seed)
+        p = _pull_into(H.C, p)
         if (p is None or H.C.classify(p, band) != geo.Membership.BOUNDARY
                 or kc.K.classify(p, _IN_C_TOL) == geo.Membership.OUTSIDE):
             return None

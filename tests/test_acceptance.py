@@ -258,7 +258,7 @@ def test_acceptance_7_property_suites():
                  if abs(l.constraint(x)) <= 1e-6]
         if any(abs(float(g @ v)) <= 10 * tol for g in grads):
             continue
-        numeric = geo.contingent_cone_member_numeric(S, geo.ConeQuery(x=x, v=v, tol=tol))
+        numeric = geo.contingent_min_ratio(S, x, v) <= tol
         total += 1
         if numeric == (verdict == geo.ConeVerdict.MEMBER):
             agree += 1

@@ -525,17 +525,6 @@ def test_custom_uniqueness_function_flagged():
     assert "custom-uniqueness-function" in v.flags
 
 
-def test_boundary_random_pair_sampling_switch():
-    H, B = decay_ball_system()
-    cfg = cert.CheckConfig(box=((-2.0, 2.0), (-2.0, 2.0)), samples=12, seed=0,
-                           lipschitz_pairs="random")
-    v = cert.check_thm_boundary(H, B, cfg, LINEAR1, option="a")
-    assert v.status == cert.NO_VIOLATION
-    # the random-pair leg adds estimates beyond the projection-paired ones
-    lip = [e for e in v.evaluations if e.condition == "boundary:lipschitz-estimate"]
-    assert len(lip) > 12
-
-
 def test_relaxed_bound_binds_on_expillu():
     # sqrt(x2) > rho(x2) = x2 near the boundary: the relaxation does not save it
     b = example_bundle("expillu")

@@ -2,11 +2,16 @@ import json
 import math
 from pathlib import Path
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hibarrier.cli import main
-from hibarrier.catalog import EXAMPLE_IDS
+from hibarrier.catalog import EXAMPLE_IDS, example_config
+from hibarrier.config import ConfigError, SystemBundle, system_from_dict
 
 
 @pytest.fixture()
@@ -327,10 +332,16 @@ _GOOD = {"name": "ok", "dim": 2, "C": "x1", "D": "-x1", "F": ["1", "0"],
     {"box": "wide"},
     {"C": {"leaf": 5}},
     {"F": ["1", 0]},
+    {"C": {"all": 5}},
+    {"C": {"any": None}},
+    {"C": {"leaf": "x1", "strict": "no"}},
+    {"dim": 2.7},
+    {"dim": True},
+    {"params": True},
+    {"box": [[-1, 1], [-1, float("nan")]]},
+    {"box": [[-1, 1], [-1, float("inf")]]},
 ])
 def test_malformed_config_raises_config_error(change, tmp_path):
-    from hibarrier.config import ConfigError, system_from_dict
-
     doc = {**_GOOD, **change}
     field = next(iter(change))
     with pytest.raises(ConfigError, match=field):
@@ -338,6 +349,54 @@ def test_malformed_config_raises_config_error(change, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["check", str(bad)]) == 3
+
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                  st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=2),
+                  st.dictionaries(st.sampled_from(["leaf", "all", "any", "strict", "x"]),
+                                  st.integers(-1, 2), max_size=2))
+
+
+def _slots(node, out):
+    """Every (container, key) pair under node, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _slots(value, out)
+    return out
+
+
+@st.composite
+def _mutated_catalog_doc(draw):
+    doc = copy.deepcopy(example_config(draw(st.sampled_from(EXAMPLE_IDS))))
+    for _ in range(draw(st.integers(1, 4))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        parent, key = slots[draw(st.integers(0, len(slots) - 1))]
+        action = draw(st.sampled_from(["drop", "swap", "nest"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "swap":
+            parent[key] = draw(_JUNK)
+        else:
+            kind = draw(st.sampled_from(["all", "any", "leaf"]))
+            other = draw(st.one_of(_JUNK, st.just("x1 - 1")))
+            parent[key] = ({"leaf": parent[key], "strict": other} if kind == "leaf"
+                           else {kind: [parent[key], other]})
+    return doc
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_catalog_doc())
+def test_system_from_dict_fuzz_gives_bundle_or_config_error(doc):
+    # dropped keys, swapped value types and nested trees: never a traceback
+    try:
+        bundle = system_from_dict(doc, source="fuzz")
+    except ConfigError:
+        return
+    assert isinstance(bundle, SystemBundle)
 
 
 def test_key_error_in_a_command_propagates(emitted, monkeypatch):
@@ -360,6 +419,10 @@ def test_key_error_in_a_command_propagates(emitted, monkeypatch):
     ["simulate", "--x0", "0,a"],
     ["simulate", "--x0", "0,1", "--overlap", "bernoulli:2"],
     ["check", "--rho", "linear:abc"],
+    ["check", "--rho", "linearfoo"],
+    ["simulate", "--x0", "0,1", "--policy", "const:0.3"],
+    ["simulate", "--x0", "0,1", "--policy", "constantly:0.3"],
+    ["simulate", "--x0", "0,1", "--policy", "adversarialX"],
     ["falsify", "--budget", "0"],
     ["falsify", "--budget", "-3"],
 ])
@@ -367,6 +430,21 @@ def test_malformed_cli_values_exit_three(argv, emitted, capsys):
     cfg = str(emitted("thermostat"))
     assert main([argv[0], cfg, *argv[1:]]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_const_policy_needs_one_value_per_parameter(emitted, tmp_path, capsys):
+    exp1 = emitted("exp1")
+    argv = ["simulate", str(exp1), "--x0", "0.5,0.5", "--horizon", "0.05,1"]
+    assert main(argv + ["--policy", "const:0.3,0.9"]) == 3  # exp1 has one parameter
+    assert main(argv + ["--policy", "const:0.3"]) == 0
+    doc = json.loads(exp1.read_text())
+    two = tmp_path / "exp1-two.json"
+    two.write_text(json.dumps({**doc, "params": 2}))
+    argv[1] = str(two)
+    assert main(argv + ["--policy", "const:0.3"]) == 3
+    assert "the system has 2" in capsys.readouterr().err
+    assert main(argv + ["--policy", "const:0.3,0.9"]) == 0
+    assert main(argv) == 0  # bare const: 0.5 for every parameter
 
 
 def test_malformed_env_seed_is_a_usage_error(emitted, monkeypatch, capsys):
