@@ -344,13 +344,12 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
                 note="infeasible" if not tv.feasible else "")
 
     # (3) Lipschitz-like estimate (x paired with its projection on d(K cap C))
-    kc_c = regions.kc_set(kc, H)
     band_pts = regions.outside_band(kc, H, box, cfg.samples, cfg.radius, cfg.band,
                                     seed=cfg.seed)
     pair_targets: list[tuple[np.ndarray, np.ndarray]] = []
     for x in band_pts:
         try:
-            y, _ = geo.project(kc_c, x, starts=8, seed=cfg.seed)
+            y, _ = geo.project(kc.KC, x, starts=8, seed=cfg.seed)
         except geo.NonConvergence:
             col.mark_inconclusive(f"projection onto d(K cap C) failed at {x.tolist()}")
             continue
@@ -384,7 +383,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
         for x in regions.region_b(kc, H, box, cfg.samples, cfg.radius, cfg.band,
                                   seed=cfg.seed):
             for eta in image_samples(H.F, x, cfg.scheme):
-                ratio = _tangent_ratio(kc_c, x, eta, cfg, col)
+                ratio = _tangent_ratio(kc.KC, x, eta, cfg, col)
                 if ratio is None:
                     continue
                 col.add("boundary:b:eqraj2", x, min(ratio, 1e6), geo.CONE_TOL, eta=eta)
@@ -413,7 +412,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
                          "the corner condition was not evaluated")
             for x in anchors:
                 for eta in image_samples(H.F, x, cfg.scheme):
-                    ratio = _tangent_ratio(kc_c, x, eta, cfg, col)
+                    ratio = _tangent_ratio(kc.KC, x, eta, cfg, col)
                     if ratio is None:
                         continue
                     col.add("boundary:c:eqraj2", x, min(ratio, 1e6), geo.CONE_TOL, eta=eta)
@@ -592,9 +591,8 @@ def check_invariance_completion(H: HybridSystem, B: BarrierCandidate,
         raise geo.PreconditionError("mode must be prop2 or prop3")
     kc = build_k_complex(H, B)
     col = _Collector()
-    kc_c = regions.kc_set(kc, H)
     _no_finite_escape_note(kc, H, cfg, col)
-    _completion_leg(kc, H, cfg, col, kc_c, f"invariance:{mode}:flow-exists",
+    _completion_leg(kc, H, cfg, col, kc.KC, f"invariance:{mode}:flow-exists",
                     "invariance:prop3:neighborhood" if mode == "prop3" else None)
     return col.finish(f"invariance:{mode}", cfg)
 
@@ -680,9 +678,8 @@ def check_contractive_lip(H: HybridSystem, B: BarrierCandidate,
     if B.m > 1:
         col.note("vector candidate scalarized as max_i B_i")
     box = cfg.box_array()
-    pts = regions.ke_c_volume(kc, H, box, cfg.samples, seed=cfg.seed)
-    pts += regions.ke_boundary_in_c(kc, H, box, cfg.samples, cfg.band,
-                                    seed=cfg.seed)
+    pts = (regions.ke_c_volume(kc, H, box, cfg.samples, seed=cfg.seed)
+           + regions.ke_boundary_in_c(kc, H, box, cfg.samples, cfg.band, seed=cfg.seed))
     bound = -(cfg.margin_strict + 2.0 * CLARKE_RADIUS)
     for x in pts:
         for eta in _filtered_images(H, x, cfg, col):
@@ -714,7 +711,7 @@ def _cset_spot_checks(kc: KComplex, H: HybridSystem, cfg: CheckConfig,
     if kc.K.classify(origin, 0.0) != geo.Membership.INSIDE:
         col.mark_inconclusive("C-set precondition fails: 0 not in int(K)")
         return False
-    pts = kc.sample_k(box, 2 * cfg.samples, seed=cfg.seed).points
+    pts = kc.pool(kc.K, box, 2 * cfg.samples, cfg.seed).points
     if not pts:
         col.mark_inconclusive("C-set precondition: K produced no samples")
         return False

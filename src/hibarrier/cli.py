@@ -318,8 +318,16 @@ def cmd_examples(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATED
 
 
+def _seed(text: str) -> int:
+    """A seed is a nonnegative integer, as numpy's generators require."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"the seed must be nonnegative, not {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # a string default goes through type=int too, so a malformed
+    # a string default goes through type=_seed too, so a malformed or negative
     # HIBARRIER_SEED is a usage error, and an explicit --seed still wins
     seed_default = os.environ.get("HIBARRIER_SEED", "0")
     parser = argparse.ArgumentParser(
@@ -338,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--band", type=float, default=0.01)
     pc.add_argument("--tol", type=float, default=1e-9)
     pc.add_argument("--margin", type=float, default=1e-6)
-    pc.add_argument("--seed", type=int, default=seed_default)
+    pc.add_argument("--seed", type=_seed, default=seed_default)
     pc.add_argument("--rho", default="linear:1")
     pc.add_argument("--option", choices=("a", "b", "c"), default="a")
     pc.add_argument("--mode", choices=("prop2", "prop3"), default="prop2",
@@ -355,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--overlap", default="flow")
     ps.add_argument("--horizon", default="1,4", help="T,J")
     ps.add_argument("--step", type=float, default=1e-3)
-    ps.add_argument("--seed", type=int, default=seed_default)
+    ps.add_argument("--seed", type=_seed, default=seed_default)
     ps.add_argument("--out")
     ps.set_defaults(fn=cmd_simulate)
 
@@ -364,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--budget", type=int, default=50, help="number of starts")
     pf.add_argument("--horizon", default="2,8", help="T,J")
     pf.add_argument("--step", type=float, default=5e-3)
-    pf.add_argument("--seed", type=int, default=seed_default)
+    pf.add_argument("--seed", type=_seed, default=seed_default)
     pf.add_argument("--mode", choices=("invariance", "contractivity"),
                     default="invariance")
     pf.add_argument("--tau", type=float, default=0.05,
@@ -377,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("action", choices=("list", "run", "emit"))
     pe.add_argument("name", nargs="?")
     pe.add_argument("--dir")
-    pe.add_argument("--seed", type=int, default=seed_default)
+    pe.add_argument("--seed", type=_seed, default=seed_default)
     pe.set_defaults(fn=cmd_examples)
     return parser
 

@@ -23,6 +23,7 @@ __all__ = [
     "validate_arc",
     "ScenarioResult",
     "scenario_classify",
+    "EXIT_TOL",
     "STAYS_IN_K",
     "LEAVES_BY_JUMP",
     "LEAVES_BY_FLOW",
@@ -31,6 +32,7 @@ __all__ = [
 STAYS_IN_K = "stays_in_k"
 LEAVES_BY_JUMP = "leaves_by_jump"
 LEAVES_BY_FLOW = "leaves_by_flow"
+EXIT_TOL = 1e-6  # a state counts as outside K beyond this slack
 
 
 @dataclass(frozen=True)
@@ -163,42 +165,40 @@ class KComplex:
     K_e: geo.SetDescription
     K_ei: tuple[geo.SetDescription, ...]
     CuD: geo.SetDescription
+    KC: geo.SetDescription  # K cap C, simplified to K_e cap C (C is inside C u D)
+    KD: geo.SetDescription  # K cap D = K_e cap D
     bar: ScalarField
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _pools: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def _cached(self, key, compute):
-        if key not in self._cache:
-            self._cache[key] = compute()
-        return self._cache[key]
-
-    def sample_k(self, box, n: int, seed: int = 0) -> geo.SampleResult:
+    def pool(self, S: geo.SetDescription, box, n: int, seed: int,
+             band: float | None = None) -> geo.SampleResult:
+        """n points of S in the box, or of its boundary band when a band is
+        given; drawn once per (set name, box, n, band, seed) and then shared,
+        so sets are told apart by name. Callers copy the points before
+        changing them."""
         box = np.asarray(box, dtype=float)
-        key = ("k", box.tobytes(), n, seed)
-        return self._cached(key, lambda: geo.sample(self.K, box, n, seed=seed))
-
-    def sample_boundary_k(self, box, n: int, band: float, seed: int = 0) -> geo.SampleResult:
-        box = np.asarray(box, dtype=float)
-        key = ("bk", box.tobytes(), n, band, seed)
-        return self._cached(key, lambda: geo.sample_boundary(self.K, box, n, band, seed=seed))
+        key = (S.name, box.tobytes(), n, band, seed)
+        if key not in self._pools:
+            self._pools[key] = (geo.sample(S, box, n, seed=seed) if band is None
+                                else geo.sample_boundary(S, box, n, band, seed=seed))
+        return self._pools[key]
 
     def sample_m(self, i: int, box, n: int, band: float, seed: int = 0) -> geo.SampleResult:
-        box = np.asarray(box, dtype=float)
-        key = ("m", i, box.tobytes(), n, band, seed)
-        return self._cached(key, lambda: self._sample_m(i, box, n, band, seed))
-
-    def _sample_m(self, i: int, box, n: int, band: float, seed: int = 0) -> geo.SampleResult:
-        """Points of M_i = { x in dK : B_i(x) = 0 } within the band tolerance.
+        """Points of M_i = { x in dK : B_i(x) = 0 } within the band tolerance,
+        memoised with the pools.
 
         Candidates come from K and dK samples pushed onto { B_i = 0 } by
         Newton steps; kept when they stay boundary-classified for K.
         """
         box = np.asarray(box, dtype=float)
+        key = (("M", i), box.tobytes(), n, band, seed)  # never a set name
+        if key in self._pools:
+            return self._pools[key]
         b_i = self.barrier.components[i]
-        pool: list[np.ndarray] = []
-        pool.extend(self.sample_boundary_k(box, max(2 * n, 32), band, seed=seed).points)
-        pool.extend(self.sample_k(box, max(2 * n, 32), seed=seed).points)
+        cands = [*self.pool(self.K, box, max(2 * n, 32), seed, band).points,
+                 *self.pool(self.K, box, max(2 * n, 32), seed).points]
         points: list[np.ndarray] = []
-        for cand in pool:
+        for cand in cands:
             if len(points) >= n:
                 break
             y = cand.astype(float).copy()
@@ -217,8 +217,9 @@ class KComplex:
                 continue
             if geo.in_box(y, box) and self.K.classify(y, band) == geo.Membership.BOUNDARY:
                 points.append(y)
-        return geo.SampleResult(points=points, requested=n, achieved=len(points),
-                                short=len(points) < n)
+        self._pools[key] = geo.SampleResult(points=points, requested=n,
+                                            achieved=len(points), short=len(points) < n)
+        return self._pools[key]
 
 
 def build_k_complex(H: HybridSystem, B: BarrierCandidate) -> KComplex:
@@ -234,7 +235,9 @@ def build_k_complex(H: HybridSystem, B: BarrierCandidate) -> KComplex:
                              name="K_e")
     cud = geo.SetDescription(n, geo.Union((H.C.root, H.D.root)), name="CuD")
     k = geo.SetDescription(n, geo.Intersection((k_e.root, cud.root)), name="K")
-    return KComplex(n=n, barrier=B, K=k, K_e=k_e, K_ei=k_ei, CuD=cud,
+    kc = geo.SetDescription(n, geo.Intersection((k_e.root, H.C.root)), name="KcapC")
+    kd = geo.SetDescription(n, geo.Intersection((H.D.root, k_e.root)), name="KcapD")
+    return KComplex(n=n, barrier=B, K=k, K_e=k_e, K_ei=k_ei, CuD=cud, KC=kc, KD=kd,
                     bar=B.scalarized())
 
 
@@ -342,15 +345,14 @@ class ScenarioResult:
     x: np.ndarray | None = None
 
 
-def scenario_classify(arc: HybridArc, K: geo.SetDescription,
-                      exit_tol: float = 1e-6) -> ScenarioResult:
+def scenario_classify(arc: HybridArc, K: geo.SetDescription) -> ScenarioResult:
     """Classify the first exit from K: after a jump (Sc1) or by flowing (Sc2)."""
     first = arc.intervals[0].states[0]
-    if K.classify(first, exit_tol) == geo.Membership.OUTSIDE:
+    if K.classify(first, EXIT_TOL) == geo.Membership.OUTSIDE:
         raise geo.PreconditionError("arc must start in K")
     for iv_idx, iv in enumerate(arc.intervals):
         for s_idx, (t, x) in enumerate(zip(iv.times, iv.states)):
-            if K.classify(x, exit_tol) == geo.Membership.OUTSIDE:
+            if K.classify(x, EXIT_TOL) == geo.Membership.OUTSIDE:
                 if s_idx == 0 and iv_idx > 0:
                     return ScenarioResult(LEAVES_BY_JUMP, t, iv.j, x)
                 return ScenarioResult(LEAVES_BY_FLOW, t, iv.j, x)

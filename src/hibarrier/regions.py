@@ -1,8 +1,11 @@
 """Deterministic samplers for the state-space regions quantified over by the
 sufficient conditions (boundary bands, level-set pieces, corner sets).
 
-Point pools for a given (set, box, seed) are cached on the KComplex so the
-checkers share them across legs; per-region randomness comes from tagged
+Every region starts from a point pool of one of the K complex's sets (K, K_e,
+K cap C, K cap D, or M_i), drawn by `KComplex.pool` or `KComplex.sample_m`.
+A pool is drawn once per (set name, box, pool size, band, seed) and memoised
+on the K complex, so the legs of one check share it; a region filters or
+perturbs the pool into a fresh list. Per-region randomness comes from tagged
 substreams of the same seed.
 """
 
@@ -34,7 +37,6 @@ __all__ = [
     "neighborhood_on_kdc",
     "ke_c_volume",
     "boundary_k_in_c",
-    "kc_set",
 ]
 
 _IN_C_TOL = 1e-6  # membership slack when filtering "x in C" after refinement
@@ -87,32 +89,15 @@ def _perturb(rng: np.random.Generator, anchors: list[np.ndarray], n: int,
     return out
 
 
-def kc_set(kc: KComplex, H: HybridSystem) -> geo.SetDescription:
-    """K intersect C, simplified to K_e intersect C (C is inside C u D)."""
-    return geo.SetDescription(kc.n, geo.Intersection((kc.K_e.root, H.C.root)), name="KcapC")
-
-
-# -- shared pools ------------------------------------------------------------
-
-
-def _bk_pool(kc: KComplex, box: np.ndarray, n: int, band: float, seed: int) -> list[np.ndarray]:
-    return list(kc.sample_boundary_k(box, max(4 * n, 32), band, seed=seed).points)
-
-
-def _k_pool(kc: KComplex, box: np.ndarray, n: int, seed: int) -> list[np.ndarray]:
-    return list(kc.sample_k(box, max(3 * n, 32), seed=seed).points)
-
-
-def _bke_pool(kc: KComplex, box: np.ndarray, n: int, band: float,
-              seed: int) -> list[np.ndarray]:
-    return kc._cached(("bke", box.tobytes(), n, band, seed),
-                      lambda: geo.sample_boundary(kc.K_e, box, max(4 * n, 32), band,
-                                                  seed=seed).points)
-
-
-def _m_pool(kc: KComplex, i: int, box: np.ndarray, n: int, band: float,
-            seed: int) -> list[np.ndarray]:
-    return list(kc.sample_m(i, box, max(2 * n, 16), band, seed=seed).points)
+def _kept(points: list[np.ndarray], S: geo.SetDescription, tol: float, n: int, *,
+          boundary: bool = False) -> list[np.ndarray]:
+    """The first n points that S classifies at `tol` as boundary points (with
+    `boundary`) or as not outside; every point is classified."""
+    if boundary:
+        out = [x for x in points if S.classify(x, tol) == geo.Membership.BOUNDARY]
+    else:
+        out = [x for x in points if S.classify(x, tol) != geo.Membership.OUTSIDE]
+    return out[:n]
 
 
 # -- regions -----------------------------------------------------------------
@@ -126,9 +111,7 @@ def m_on_c(kc: KComplex, H: HybridSystem, i: int, box: np.ndarray, n: int,
     conditions (eq. on M_i cap C) are sensitive to off-C drift near corners
     where the condition genuinely fails just outside C.
     """
-    out = [x for x in _m_pool(kc, i, box, n, band, seed)
-           if H.C.classify(x, 1e-9) != geo.Membership.OUTSIDE]
-    return out[:n]
+    return _kept(kc.sample_m(i, box, max(2 * n, 16), band, seed=seed).points, H.C, 1e-9, n)
 
 
 def m_band(kc: KComplex, H: HybridSystem, i: int, box: np.ndarray, n: int,
@@ -136,7 +119,7 @@ def m_band(kc: KComplex, H: HybridSystem, i: int, box: np.ndarray, n: int,
     """Samples of (U_radius(M_i) \\ K_ei) cap C: perturb M_i anchors off the
     zero level of B_i, then pull back onto C."""
     b_i = kc.barrier.components[i]
-    anchors = _m_pool(kc, i, box, n, band, seed)
+    anchors = kc.sample_m(i, box, max(2 * n, 16), band, seed=seed).points
     if not anchors:
         return []
 
@@ -157,7 +140,7 @@ def m_band(kc: KComplex, H: HybridSystem, i: int, box: np.ndarray, n: int,
 def outside_band(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
                  radius: float, band: float, seed: int) -> list[np.ndarray]:
     """Samples of (U_radius(dK) \\ K) cap C."""
-    anchors = _bk_pool(kc, box, n, band, seed)
+    anchors = kc.pool(kc.K, box, max(4 * n, 32), seed, band).points
     if not anchors:
         return []
 
@@ -176,18 +159,15 @@ def outside_band(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
 def ke_boundary_in_c(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
                      band: float, seed: int) -> list[np.ndarray]:
     """Samples of dK_e cap C."""
-    pts = _bke_pool(kc, box, n, band, seed)
-    out = [x for x in pts if H.C.classify(x, _IN_C_TOL) != geo.Membership.OUTSIDE]
-    return out[:n]
+    return _kept(kc.pool(kc.K_e, box, max(4 * n, 32), seed, band).points, H.C, _IN_C_TOL, n)
 
 
 def anchors_ke_dc(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
                   band: float, seed: int) -> list[np.ndarray]:
     """Approximate dK_e cap dC: boundary points of K_e that are boundary-
     classified for C at the band tolerance."""
-    pts = _bke_pool(kc, box, n, band, seed)
-    out = [x for x in pts if H.C.classify(x, band) == geo.Membership.BOUNDARY]
-    return out[:n]
+    return _kept(kc.pool(kc.K_e, box, max(4 * n, 32), seed, band).points, H.C, band, n,
+                 boundary=True)
 
 
 def region_a(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
@@ -237,29 +217,20 @@ def region_b(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
 def dk_dc(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int, band: float,
           seed: int) -> list[np.ndarray]:
     """Samples of dK cap dC (band-approximate)."""
-    pts = _bk_pool(kc, box, n, band, seed)
-    out = [x for x in pts if H.C.classify(x, band) == geo.Membership.BOUNDARY]
-    return out[:n]
+    return _kept(kc.pool(kc.K, box, max(4 * n, 32), seed, band).points, H.C, band, n,
+                 boundary=True)
 
 
 def jump_region(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
                 seed: int) -> list[np.ndarray]:
     """Samples of K cap D (= K_e cap D)."""
-
-    def compute() -> list[np.ndarray]:
-        kd = geo.SetDescription(kc.n, geo.Intersection((H.D.root, kc.K_e.root)),
-                                name="KcapD")
-        return list(geo.sample(kd, box, n, seed=seed).points)
-
-    return kc._cached(("jump", box.tobytes(), n, seed), compute)
+    return list(kc.pool(kc.KD, box, n, seed).points)
 
 
 def boundary_jump_region(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
                          band: float, seed: int) -> list[np.ndarray]:
     """Samples of dK cap D."""
-    pts = jump_region(kc, H, box, 2 * n, seed)
-    out = [x for x in pts if kc.K.classify(x, band) == geo.Membership.BOUNDARY]
-    return out[:n]
+    return _kept(kc.pool(kc.KD, box, 2 * n, seed).points, kc.K, band, n, boundary=True)
 
 
 def _strict_leaf_targets(kc: KComplex, H: HybridSystem, box: np.ndarray,
@@ -314,9 +285,8 @@ def kdc_not_d(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
     driving strict D-leaves to zero over K and accepted within a snap
     tolerance (the exact excluded set has measure zero).
     """
-    base: list[np.ndarray] = []
-    base.extend(_k_pool(kc, box, n, seed))
-    base.extend(_bk_pool(kc, box, n, band, seed))
+    base = [*kc.pool(kc.K, box, max(3 * n, 32), seed).points,
+            *kc.pool(kc.K, box, max(4 * n, 32), seed, band).points]
     on_dc = [x for x in base if H.C.classify(x, band) == geo.Membership.BOUNDARY]
     cands = list(on_dc)
     cands.extend(_strict_leaf_targets(kc, H, box, on_dc, band, seed))
@@ -355,18 +325,10 @@ def neighborhood_on_kdc(kc: KComplex, H: HybridSystem, x_o: np.ndarray,
 def ke_c_volume(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
                 seed: int) -> list[np.ndarray]:
     """Samples of K_e cap C (including its interior)."""
-
-    def compute() -> list[np.ndarray]:
-        kec = geo.SetDescription(kc.n, geo.Intersection((kc.K_e.root, H.C.root)),
-                                 name="Ke_cap_C")
-        return list(geo.sample(kec, box, n, seed=seed).points)
-
-    return kc._cached(("kec", box.tobytes(), n, seed), compute)
+    return list(kc.pool(kc.KC, box, n, seed).points)
 
 
 def boundary_k_in_c(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
                     band: float, seed: int) -> list[np.ndarray]:
     """Samples of dK cap C."""
-    pts = _bk_pool(kc, box, n, band, seed)
-    out = [x for x in pts if H.C.classify(x, _IN_C_TOL) != geo.Membership.OUTSIDE]
-    return out[:n]
+    return _kept(kc.pool(kc.K, box, max(4 * n, 32), seed, band).points, H.C, _IN_C_TOL, n)

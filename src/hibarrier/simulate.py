@@ -11,7 +11,7 @@ import numpy as np
 
 from . import geometry as geo
 from .fields import EvaluationError, Grid, image_samples, filter_by_cone
-from .model import (ArcInterval, BarrierCandidate, HybridArc, HybridSystem,
+from .model import (EXIT_TOL, ArcInterval, BarrierCandidate, HybridArc, HybridSystem,
                     KComplex, ScenarioResult, scenario_classify)
 
 __all__ = [
@@ -45,7 +45,6 @@ _FLOW_TOL = 1e-9     # membership slack for C and D along a solution
 _S0_TOL = 1e-6       # membership slack for the initial state (S0)
 _REFINE_TOL = 1e-12  # guard bisection stops below this bracket width
 _BOUNDARY_BAND = 1e-7  # band of dK that search starts are drawn from
-_EXIT_TOL = 1e-6     # a state counts as outside K beyond this slack
 _ENTRY_MARGIN = 1e-4  # max_i B_i below -margin counts as entry into int(K)
 
 
@@ -379,9 +378,9 @@ class FalsifyResult:
 
 def _start_points(kc: KComplex, box, n: int, seed: int) -> list[np.ndarray]:
     n_boundary = max(1, n // 2)
-    pts = list(kc.sample_boundary_k(box, n_boundary, _BOUNDARY_BAND, seed=seed).points)
+    pts = list(kc.pool(kc.K, box, n_boundary, seed, _BOUNDARY_BAND).points)
     if len(pts) < n:
-        pts.extend(kc.sample_k(box, n - len(pts), seed=seed ^ 0x5EED).points)
+        pts.extend(kc.pool(kc.K, box, n - len(pts), seed ^ 0x5EED).points)
     return pts[:n]
 
 
@@ -412,10 +411,10 @@ def falsify_invariance(H: HybridSystem, kc: KComplex, budget: FalsifyBudget, *,
         try:
             arc = solve(H, starts[s_idx], policies[p_idx], budget.horizon, kc=kc,
                         seed=(seed, s_idx, p_idx),
-                        stop_when=lambda y: K.classify(y, _EXIT_TOL) == geo.Membership.OUTSIDE)
+                        stop_when=lambda y: K.classify(y, EXIT_TOL) == geo.Membership.OUTSIDE)
             if "stopped-by-predicate" not in arc.flags:
                 return None
-            return arc, scenario_classify(arc, K, _EXIT_TOL)
+            return arc, scenario_classify(arc, K)
         except (geo.PreconditionError, geo.NonConvergence, EvaluationError):
             return None
 
@@ -456,8 +455,7 @@ def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
             if kc.K.classify(s, _BOUNDARY_BAND) == geo.Membership.INSIDE:
                 raise geo.PreconditionError("probe start lies in int(K); must start on dK")
     else:
-        pts = list(kc.sample_boundary_k(box, budget.starts, _BOUNDARY_BAND,
-                                        seed=seed).points)
+        pts = list(kc.pool(kc.K, box, budget.starts, seed, _BOUNDARY_BAND).points)
     horizon = Horizon(tau_probe, 2, min(budget.horizon.step, tau_probe / 20.0))
     policies = (SelectionPolicy(Constant(), Constant(), Overlap("jump")),
                 SelectionPolicy(Constant(), Constant(), Overlap("flow")))
@@ -474,7 +472,7 @@ def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
         if not vals:
             return None  # only the trivial solution was produced
         worst = max(vals)
-        if worst > _EXIT_TOL:
+        if worst > EXIT_TOL:
             return ("left", arc)
         # lingering means the band [-_ENTRY_MARGIN, tol] holds throughout;
         # dipping below the margin anywhere counts as entry

@@ -456,6 +456,21 @@ def test_malformed_env_seed_is_a_usage_error(emitted, monkeypatch, capsys):
     assert main(["check", cfg, "--samples", "4", "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["check", "{cfg}", "--samples", "4", "--seed", "-1"], None),
+    (["falsify", "{cfg}", "--budget", "2", "--seed", "-1"], None),
+    (["simulate", "{cfg}", "--x0", "0,1", "--seed", "-1"], None),
+    (["examples", "run", "thermostat", "--seed", "-1"], None),
+    (["check", "{cfg}", "--samples", "4"], "-2"),
+])
+def test_negative_seed_is_a_usage_error(argv, env, emitted, monkeypatch, capsys):
+    cfg = str(emitted("thermostat"))
+    if env is not None:
+        monkeypatch.setenv("HIBARRIER_SEED", env)
+    assert main([cfg if a == "{cfg}" else a for a in argv]) == 3
+    assert "error: argument --seed: the seed must be nonnegative" in capsys.readouterr().err
+
+
 def test_empty_corner_leg_is_flagged(emitted, tmp_path):
     # at seed 0 no bouncing-ball anchor near dC lies in K_e cap C
     rep = tmp_path / "c.json"

@@ -175,7 +175,7 @@ def test_simulator_arcs_validate():
                                                       sim.Overlap("flow")))):
         b = example_bundle(name)
         kc = kc_of(b)
-        start = kc.sample_k(b.box, 1, seed=6).points[0]
+        start = kc.pool(kc.K, b.box, 1, 6).points[0]
         arc = sim.solve(b.system, start, policy, sim.Horizon(1.0, 4, 2e-3),
                         kc=kc, seed=8)
         violations = mo.validate_arc(arc, b.system, vel_slope=4.0)

@@ -82,8 +82,9 @@ def test_guard_refinement_jump_states():
     # every pre-jump state is (boundary-)inside D at the refinement tolerance
     for name in ("thermostat", "bouncing-ball", "exprj"):
         b = example_bundle(name)
-        arc = sim.solve(b.system, kc_of(b).sample_k(b.box, 1, seed=2).points[0],
-                        sim.SelectionPolicy(), sim.Horizon(2.0, 6, 1e-3), kc=kc_of(b))
+        kc = kc_of(b)
+        arc = sim.solve(b.system, kc.pool(kc.K, b.box, 1, 2).points[0],
+                        sim.SelectionPolicy(), sim.Horizon(2.0, 6, 1e-3), kc=kc)
         for pre, post in zip(arc.intervals, arc.intervals[1:]):
             x_pre = pre.states[-1]
             assert b.system.D.classify(x_pre, 1e-8) != geo.Membership.OUTSIDE
@@ -296,9 +297,9 @@ def test_stop_flag_marks_exactly_the_arcs_that_leave_k(name, horizon):
     for s_idx, x0 in enumerate(sim._start_points(kc, b.box, 24, 0)):
         p_idx = s_idx % len(pool)
         arc = sim.solve(b.system, x0, pool[p_idx], horizon, kc=kc, seed=(0, s_idx, p_idx),
-                        stop_when=lambda y: kc.K.classify(y, sim._EXIT_TOL)
+                        stop_when=lambda y: kc.K.classify(y, mo.EXIT_TOL)
                         == geo.Membership.OUTSIDE)
-        kind = mo.scenario_classify(arc, kc.K, sim._EXIT_TOL).kind
+        kind = mo.scenario_classify(arc, kc.K).kind
         assert ("stopped-by-predicate" in arc.flags) == (kind != mo.STAYS_IN_K)
         kinds.add(kind)
     assert (len(kinds) > 1) == (name != "thermostat")
