@@ -53,9 +53,11 @@ def _field_from_expr(text: str, n: int, constants: dict, where: str,
     value = ex.compile_ast(ast)
     partials = [ex.differentiate(ast, i) for i in range(n)]
     smooth = not any(isinstance(d, ex.NonSmoothMarker) for d in partials)
+    affine = smooth and all(ex.differentiate(d, j) == ex.Lit(0.0)
+                            for d in partials for j in range(n))
     return ScalarField(n=n, fn=lambda x: value(x, ()),
                        grad=ex.compile_vector(partials) if smooth else None,
-                       tag=smoothness, name=text)
+                       tag=smoothness, name=text, affine=affine)
 
 
 def _set_from_tree(tree, n: int, constants: dict, where: str) -> geo.Node:

@@ -48,7 +48,9 @@ class ScalarField:
     """A scalar function on R^n with an optional analytic gradient.
 
     tag is "c1" or "lipschitz"; a missing gradient falls back to central
-    finite differences at (assumed) differentiable points.
+    finite differences at (assumed) differentiable points. `affine` marks a
+    field whose second partials are all identically zero, so its gradient is
+    the same at every point.
     """
 
     n: int
@@ -56,6 +58,7 @@ class ScalarField:
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     tag: str = C1
     name: str = ""
+    affine: bool = False
 
     def __call__(self, x: Sequence[float] | np.ndarray) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))

@@ -218,6 +218,18 @@ class SetDescription:
     def dnf(self) -> list[tuple[Leaf, ...]]:
         return _dnf_node(self.root)
 
+    @cached_property
+    def _terms(self) -> list[tuple[Leaf, ...]]:
+        """The DNF terms that projections search, built once per set: a term
+        holding a constant leaf > 0 is empty and dropped, and constant leaves
+        <= 0 are dropped from their terms."""
+        out = []
+        for term in self.dnf():
+            consts = [_constant_value(leaf) for leaf in term]
+            if not any(c is not None and c > 0.0 for c in consts):
+                out.append(tuple(leaf for leaf, c in zip(term, consts) if c is None))
+        return out
+
     def leaves(self) -> list[Leaf]:
         out: list[Leaf] = []
 
@@ -251,6 +263,21 @@ class SetDescription:
             return False
 
         return out if walk(self.root) else None
+
+
+def _constant_value(leaf: Leaf) -> float | None:
+    """The value of an affine leaf with a zero gradient, else None; an affine
+    gradient is the same everywhere, so the origin stands for every point."""
+    c = leaf.constraint
+    if not c.affine:
+        return None
+    origin = np.zeros(c.n)
+    try:
+        if np.any(gradient(c, origin) != 0.0):
+            return None
+        return c.value_checked(origin)
+    except EvaluationError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +378,7 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
         return x.copy(), 0.0
     rng = np.random.default_rng((int(seed), zlib.crc32(b"project")))
     best: tuple[np.ndarray, float] | None = None
-    terms = sorted(closed.dnf(), key=lambda lv: _term_lower_bound(lv, x))
+    terms = sorted(closed._terms, key=lambda lv: _term_lower_bound(lv, x))
     for leaves in terms:
         if best is not None and _term_lower_bound(leaves, x) > 4.0 * best[1] + 1e-12:
             continue  # cannot beat the incumbent (heuristic prune)
@@ -380,7 +407,7 @@ def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray) -> np.nda
     closed = S.closure()
     if closed.classify(x, 0.0) != Membership.OUTSIDE:
         return x.copy()
-    terms = sorted(closed.dnf(), key=lambda lv: _term_lower_bound(lv, x))
+    terms = sorted(closed._terms, key=lambda lv: _term_lower_bound(lv, x))
     for leaves in terms:
         y = _newton_feasibility(leaves, x, iters=30)
         if max(leaf.constraint.value_checked(y) for leaf in leaves) <= _FEAS_TOL:
@@ -647,6 +674,8 @@ def sample(S: SetDescription, box: Sequence[Sequence[float]] | np.ndarray, n: in
     projection of box draws for thin or measure-zero sets."""
     if n <= 0:
         raise PreconditionError("n must be positive")
+    if not S.closure()._terms:  # every DNF term holds a constant leaf > 0
+        return SampleResult(points=[], requested=n, achieved=0, short=True)
     box = np.asarray(box, dtype=float)
     rng = np.random.default_rng((int(seed), zlib.crc32(b"sample")))
     points: list[np.ndarray] = []

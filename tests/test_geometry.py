@@ -505,3 +505,30 @@ def test_distance_zero_iff_member(x1, x2):
         assert d == 0.0
     else:
         assert d > 0.0
+
+
+# ---------------------------------------------------------------------------
+# DNF terms of a projection
+
+
+def _expr_leaf(text, n=2):
+    from hibarrier.config import _field_from_expr
+    return geo.Leaf(_field_from_expr(text, n, {}, "test"))
+
+
+def test_constant_leaves_settle_their_terms(monkeypatch):
+    # {1 <= 0} empties its term; {-1 <= 0} leaves the rest of its term
+    S = geo.SetDescription(2, geo.Union((
+        geo.Intersection((_expr_leaf("x1"), _expr_leaf("1"))),
+        geo.Intersection((_expr_leaf("x2 - 1"), _expr_leaf("-1"))))))
+    terms = S.closure()._terms
+    assert terms is S.closure()._terms  # built once per set
+    assert [[leaf.constraint.name for leaf in t] for t in terms] == [["x2 - 1"]]
+    y, d = geo.project(S, [0.0, 3.0])
+    assert d == pytest.approx(2.0, abs=1e-9)
+    # a set with no term left samples nothing, without classifying a draw
+    empty = geo.SetDescription(2, geo.Intersection((_expr_leaf("x1"), _expr_leaf("1"))))
+    monkeypatch.setattr(geo.SetDescription, "classify",
+                        lambda *a, **k: pytest.fail("classified a draw"))
+    res = geo.sample(empty, BOX2, 10, seed=0)
+    assert res.points == [] and res.short and res.achieved == 0
