@@ -17,7 +17,7 @@ from . import geometry as geo
 from . import regions
 from .config import ConfigError
 from .fields import (CLARKE_RADIUS, Grid, ScalarField, Vertices, clarke_support,
-                     gradient, image_samples, filter_by_cone)
+                     gradient, image_samples, filter_by_cone, negated)
 from .model import BarrierCandidate, HybridSystem, KComplex, build_k_complex
 
 __all__ = [
@@ -609,11 +609,6 @@ def _with_hull_edges(etas: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _negated(c: ScalarField) -> ScalarField:
-    return ScalarField(c.n, lambda y: -float(c.fn(y)), grad=lambda y: -gradient(c, y),
-                       name=f"-{c.name}")
-
-
 def _corner_emptiness_leg(col: _Collector, kc: KComplex, H: HybridSystem,
                           cfg: CheckConfig, prefix: str) -> None:
     """F(x) cap T_{dC cap dK}(x) must be empty on dK cap dC."""
@@ -627,7 +622,7 @@ def _corner_emptiness_leg(col: _Collector, kc: KComplex, H: HybridSystem,
                   + [comp for comp in kc.barrier.components if abs(float(comp.fn(x))) <= eps])
         grads = [gradient(c, x) for c in active]
         eq_set = geo.SetDescription(kc.n, geo.Intersection(tuple(
-            geo.Leaf(f) for c in active for f in (c, _negated(c)))), name="dC_cap_dK")
+            geo.Leaf(f) for c in active for f in (c, negated(c)))), name="dC_cap_dK")
         for eta in _with_hull_edges(image_samples(H.F, x, Vertices())
                                     if H.F.k <= _HULL_VERTEX_CAP
                                     else image_samples(H.F, x, cfg.scheme)):

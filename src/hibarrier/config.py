@@ -53,11 +53,16 @@ def _field_from_expr(text: str, n: int, constants: dict, where: str,
     value = ex.compile_ast(ast)
     partials = [ex.differentiate(ast, i) for i in range(n)]
     smooth = not any(isinstance(d, ex.NonSmoothMarker) for d in partials)
-    affine = smooth and all(ex.differentiate(d, j) == ex.Lit(0.0)
-                            for d in partials for j in range(n))
+    # second partials, row by row; a smooth field's are smooth too
+    second = [ex.differentiate(d, j) for d in partials for j in range(n)] if smooth else []
+    affine = smooth and all(s == ex.Lit(0.0) for s in second)
+    hess = None
+    if smooth and not affine:
+        flat = ex.compile_vector(second)
+        hess = lambda x: flat(x).reshape(n, n)  # noqa: E731
     return ScalarField(n=n, fn=lambda x: value(x, ()),
                        grad=ex.compile_vector(partials) if smooth else None,
-                       tag=smoothness, name=text, affine=affine)
+                       tag=smoothness, name=text, affine=affine, hess=hess)
 
 
 def _set_from_tree(tree, n: int, constants: dict, where: str) -> geo.Node:

@@ -15,6 +15,7 @@ __all__ = [
     "ScalarField",
     "SetValuedMap",
     "gradient",
+    "negated",
     "clarke_support",
     "image_samples",
     "filter_by_cone",
@@ -48,9 +49,10 @@ class ScalarField:
     """A scalar function on R^n with an optional analytic gradient.
 
     tag is "c1" or "lipschitz"; a missing gradient falls back to central
-    finite differences at (assumed) differentiable points. `affine` marks a
-    field whose second partials are all identically zero, so its gradient is
-    the same at every point.
+    finite differences at (assumed) differentiable points. `hess`, when
+    present, gives the exact n x n matrix of second partials. `affine` marks
+    a field whose second partials are all identically zero, so its gradient
+    is the same at every point.
     """
 
     n: int
@@ -59,6 +61,7 @@ class ScalarField:
     tag: str = C1
     name: str = ""
     affine: bool = False
+    hess: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: Sequence[float] | np.ndarray) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -68,6 +71,15 @@ class ScalarField:
         if not math.isfinite(v):
             raise EvaluationError(f"field {self.name or '<anon>'} is non-finite", x)
         return v
+
+
+def negated(f: ScalarField) -> ScalarField:
+    """-f, keeping f's gradient, second partials and affinity (negated)."""
+    return ScalarField(
+        f.n, lambda x: -float(f.fn(x)),
+        grad=None if f.grad is None else (lambda x: -np.asarray(f.grad(x), dtype=float)),
+        tag=f.tag, name=f"-{f.name}", affine=f.affine,
+        hess=None if f.hess is None else (lambda x: -f.hess(x)))
 
 
 def fd_step(x: np.ndarray, scale: float = 1e-6) -> float:

@@ -8,15 +8,15 @@ and behave as their closure for distance and projection.
 from __future__ import annotations
 
 import enum
+import itertools
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .fields import EvaluationError, ScalarField, gradient
+from .fields import EvaluationError, ScalarField, fd_step, gradient
 
 __all__ = [
     "Membership",
@@ -68,7 +68,8 @@ CONE_TOL = 1e-3  # a cone ratio at most CONE_TOL counts as membership
 # down to the distance solver's noise floor 1e-6
 CONE_H = tuple(h for h in (1e-2 * 0.5 ** i for i in range(20)) if h >= 1e-6)
 _FEAS_TOL = 1e-9       # projection and restoration: max_j c_j(y) <= _FEAS_TOL
-_PROJECT_MAXITER = 80  # SLSQP iterations per projection start
+_NEWTON_MAXITER = 40   # Lagrange-Newton iterations per projection start
+_PROJECT_MAXITER = 80  # SLSQP iterations per projection start that falls back
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +303,14 @@ def _newton_feasibility(leaves: Sequence[Leaf], y: np.ndarray, iters: int = 25,
     return y
 
 
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call. SLSQP runs only
+    for a projection start that Lagrange-Newton does not converge from, so a
+    run that never falls back never loads scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
 def term_constraint(leaves: Sequence[Leaf]) -> dict:
     """One SLSQP inequality constraint for an intersection of leaves: the
     vector of -c_j(y) (>= 0 inside) and its Jacobian, rows in leaf order."""
@@ -318,30 +327,270 @@ def term_constraint(leaves: Sequence[Leaf]) -> dict:
     return {"type": "ineq", "fun": fun, "jac": jac}
 
 
-def _project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray],
-                  maxiter: int) -> tuple[np.ndarray, float] | None:
-    """Closest point to z on the intersection of leaf sublevel sets, or None."""
-    constraints = [term_constraint(leaves)]
+def _lstsq(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least-squares, least-norm x with M x = v, for an M whose rows or
+    columns are unit vectors and linearly independent: a dot product for
+    one column or one row, a solve for a square M, numpy's lstsq otherwise."""
+    rows, cols = M.shape
+    if cols == 1:
+        return np.array([float(M[:, 0] @ v)])
+    if rows == 1:
+        return M[0] * float(v[0])
+    if rows == cols:
+        return np.linalg.solve(M, v)
+    return np.linalg.lstsq(M, v, rcond=None)[0]
 
-    def objective(y: np.ndarray) -> float:
-        d = y - z
-        return float(d @ d)
 
-    def objective_jac(y: np.ndarray) -> np.ndarray:
-        return 2.0 * (y - z)
+def _qp_project(A: np.ndarray, b: np.ndarray, z: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+    """(y, lam): the closest point y to z of {y : A y <= b} and the rows'
+    multipliers lam >= 0, with y = z - A^T lam; None when the rows are
+    inconsistent. This is the dual active-set method of Goldfarb and Idnani
+    (1983) for an identity Hessian (Nocedal & Wright, ch. 16). From z, the
+    most violated row joins a set of linearly independent active rows; an
+    active row whose multiplier would turn negative first leaves the set.
+    A row that depends on the active ones, such as -x2 beside x2, never
+    joins it. Rows are scaled to unit norm, so the tolerance is a distance."""
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    scale = np.where(norms > 0.0, norms, 1.0)
+    An, bn = A / scale[:, None], b / scale
+    tol = 1e-12 * (1.0 + float(np.abs(z).max()))
+    y = z.astype(float)
+    lam = np.zeros(len(b))
+    active: list[int] = []
+    for _ in range(4 * (len(b) + len(z)) + 8):
+        viol = An @ y - bn
+        if viol.max() <= tol:
+            return y, np.maximum(lam, 0.0) / scale
+        # the row violated most in its own units joins, so that of dependent
+        # rows the one with the larger gradient carries the multiplier
+        p = int(np.where(viol > tol, viol * scale, -np.inf).argmax())
+        if p in active:
+            return y, np.maximum(lam, 0.0) / scale
+        a = An[p]
+        while True:
+            # r: a's coefficients on the active rows; d: minus the part of a
+            # orthogonal to them, the direction that keeps them active
+            N = An[active]
+            r = _lstsq(N.T, a) if active else np.zeros(0)
+            d = r @ N - a
+            dd = float(d @ d)
+            # the primal step that makes row p active, and the dual step at
+            # which an active multiplier reaches zero
+            t2 = (float(a @ y) - bn[p]) / dd if dd > 1e-24 else np.inf
+            t1, k = np.inf, -1
+            for i, ri in enumerate(r):
+                if ri > 1e-14 and lam[active[i]] / ri < t1:
+                    t1, k = lam[active[i]] / ri, i
+            if t1 == np.inf and t2 == np.inf:
+                return None
+            t = min(t1, t2)
+            if t2 < np.inf:
+                y = y + t * d
+            if active:
+                lam[active] -= t * r
+            lam[p] += t
+            if t2 <= t1:
+                active.append(p)
+                # land exactly on the active rows, so that rounding in a long
+                # step does not leave a row that depends on them violated
+                N = An[active]
+                y = y - _lstsq(N, N @ y - bn[active])
+                break
+            lam[active[k]] = 0.0
+            del active[k]
+    return None
 
+
+def _violation(fields: list[ScalarField], y: np.ndarray) -> float:
+    """sum_j max(c_j(y), 0); inf where a leaf cannot be evaluated."""
+    try:
+        return sum(max(f.value_checked(y), 0.0) for f in fields)
+    except EvaluationError:
+        return np.inf
+
+
+def _leaf_models(f: ScalarField, y: np.ndarray, value: float) -> list[list[np.ndarray]]:
+    """Linear models of a leaf at y for a Newton step: alternatives, each a
+    list of gradient rows that must all hold. A leaf with an analytic
+    gradient has one row. Without one, the row is gradient()'s central
+    difference, unless the one-sided differences disagree along exactly one
+    coordinate: a kink of abs, max or min then lies within the step, and the
+    central difference would average its sides, which can hold the iterate
+    on the kink. A convex kink (a max) needs both one-sided rows; a concave
+    one (a min) holds on either side, so each side is an alternative."""
+    if f.grad is not None:
+        return [[gradient(f, y)]]
+    h = fd_step(y)
+    g = np.empty(f.n)
+    kinks = []
+    for i in range(f.n):
+        e = np.zeros(f.n)
+        e[i] = h
+        up, down = f.fn(y + e), f.fn(y - e)
+        g[i] = (up - down) / (2.0 * h)
+        forward, backward = (up - value) / h, (value - down) / h
+        if abs(forward - backward) > 1e-3 * (1.0 + abs(forward) + abs(backward)):
+            kinks.append((i, forward, backward))
+    if not np.all(np.isfinite(g)):
+        raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", y)
+    if len(kinks) != 1:
+        return [[g]]
+    (i, forward, backward), = kinks
+    sides = [g.copy(), g.copy()]
+    sides[0][i], sides[1][i] = forward, backward
+    return [sides] if forward > backward else [[sides[0]], [sides[1]]]
+
+
+def _curvature_factor(fields: list[ScalarField], lam: np.ndarray,
+                      y: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factor L of the Lagrangian's Hessian I + sum_j lam_j H_j
+    at y, over the leaves with exact second partials; None when no such
+    leaf has a positive multiplier, or when the Hessian is not safely
+    positive definite, so that the step is a Gauss-Newton step."""
+    terms = [lj * f.hess(y) for f, lj in zip(fields, lam) if lj > 0.0 and f.hess is not None]
+    if not terms:
+        return None
+    H = np.eye(len(y)) + sum(terms)
+    if not np.all(np.isfinite(H)):
+        return None
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return None
+    return L if float(np.min(np.diag(L))) >= 1e-3 else None
+
+
+def _kink_qp(models: list[list[list[np.ndarray]]], c: np.ndarray, w: np.ndarray,
+             L: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
+    """(u, lam): the step of one Newton iteration and the leaves'
+    multipliers, or None when the linearization is inconsistent. The QP
+    min 0.5 |u - L^-1 w|^2 over {u : G L^-T u <= -c} is solved for each
+    choice of the leaves' alternative models, and the closest solution
+    kept; L = None stands for the identity (a Gauss-Newton step)."""
+    best = None
+    for choice in itertools.product(*models):
+        owner = [j for j, rows in enumerate(choice) for _ in rows]
+        G = np.array([row for rows in choice for row in rows])
+        if L is None:
+            got = _qp_project(G, -c[owner], w)
+            centre = w
+        else:
+            centre = np.linalg.solve(L, w)
+            got = _qp_project(np.linalg.solve(L, G.T).T, -c[owner], centre)
+        if got is not None:
+            gap = float((got[0] - centre) @ (got[0] - centre))
+            if best is None or gap < best[0]:
+                best = (gap, got[0], np.bincount(owner, got[1], minlength=len(c)))
+    return None if best is None else best[1:]
+
+
+def _newton_term(leaves: Sequence[Leaf], z: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
+    """A KKT point of min |y - z| over the intersection of the leaves, by
+    Lagrange-Newton from y0 (Nocedal & Wright, ch. 18), or None when it does
+    not converge. Each step solves the QP of the leaves linearized at y
+    (`_kink_qp`) with the Lagrangian's Hessian I + sum_j lam_j H_j; its
+    active rows are the working set, and on a settled working set the step
+    is Newton's on the KKT system. Leaves without exact second partials add
+    no curvature, so their steps are Gauss-Newton steps. A backtracking
+    search on the l1 merit function accepts each step, and a step from a
+    point of the term that heads straight for z stops where it leaves the
+    term. An inconsistent linearization is met once by Newton restoration.
+    The iteration stops when the error left, predicted from the ratio of
+    successive steps, is below 1e-10 (1 + |y|). An affine term's
+    linearization is exact, so its first step is the answer, and an
+    inconsistent one proves the term empty."""
+    fields = [leaf.constraint for leaf in leaves]
+    affine = all(f.affine for f in fields)
+    y, lam, mu = np.asarray(y0, dtype=float).copy(), np.zeros(len(fields)), 0.0
+    restored, previous = False, 0.0
+    for _ in range(_NEWTON_MAXITER):
+        c = np.array([f.value_checked(y) for f in fields])
+        L = _curvature_factor(fields, lam, y)
+        got = _kink_qp([_leaf_models(f, y, cj) for f, cj in zip(fields, c)], c, z - y, L)
+        if got is None:
+            if affine or restored:
+                return None
+            # the linearization is inconsistent here: restore feasibility
+            # once by Newton steps on the most violated leaf, then go on
+            y, lam, restored = _newton_feasibility(leaves, y), np.zeros(len(fields)), True
+            continue
+        d = got[0] if L is None else np.linalg.solve(L.T, got[0])
+        if affine:
+            return y + d
+        lam = got[1]
+        # the error left after this step, predicted from the steps' ratio
+        # (quadratic and linear convergence alike)
+        step = float(np.abs(d).max())
+        rate = step / previous if previous > 0.0 else np.inf
+        previous = step
+        tol = 1e-10 * (1.0 + float(np.abs(y).max()))
+        if step <= tol or (rate < 0.5 and step * rate / (1.0 - rate) <= tol):
+            y = y + d
+            return y if max(f.value_checked(y) for f in fields) <= _FEAS_TOL else None
+        if float(np.max(lam, initial=0.0)) > 1e6:
+            # diverging multipliers: the active gradients vanish ahead, so
+            # no regular KKT point lies there; a feasible y still bounds
+            # the distance from above
+            return y if float(np.max(c)) <= _FEAS_TOL else None
+        if float(np.max(c)) <= 0.0 and not np.any(lam > 0.0):
+            # from a point of the term the step heads straight for z, which
+            # lies outside it: stop where the segment leaves the term
+            lo, hi = 0.0, 1.0
+            for _ in range(30):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _violation(fields, y + mid * d) == 0.0 else (lo, mid)
+            if lo > 0.0:
+                y = y + lo * d
+                continue
+        mu = max(mu, 2.0 * float(np.max(lam, initial=0.0)))
+        phi = 0.5 * float((y - z) @ (y - z)) + mu * float(np.sum(np.maximum(c, 0.0)))
+        slope = float((y - z) @ d) - mu * float(np.sum(np.maximum(c, 0.0)))
+        t = 1.0
+        while True:
+            trial = y + t * d
+            viol = _violation(fields, trial)
+            if viol < np.inf and (0.5 * float((trial - z) @ (trial - z)) + mu * viol
+                                  <= phi + 1e-4 * t * min(slope, 0.0)):
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return None
+        y = y + t * d
+    return None
+
+
+def _slsqp_start(leaves: Sequence[Leaf], z: np.ndarray, y0: np.ndarray,
+                 maxiter: int) -> np.ndarray:
+    """One SLSQP run for min |y - z|^2 over the leaves, from y0."""
+    res = minimize(lambda y: float((y - z) @ (y - z)), y0, jac=lambda y: 2.0 * (y - z),
+                   method="SLSQP", constraints=[term_constraint(leaves)],
+                   options={"maxiter": maxiter, "ftol": 1e-16})
+    return np.asarray(res.x, dtype=float)
+
+
+def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray],
+                 maxiter: int) -> tuple[np.ndarray, float] | None:
+    """Closest point to z on the intersection of leaf sublevel sets, or None.
+
+    Each start runs Lagrange-Newton, and one it does not converge from runs
+    at most `maxiter` SLSQP iterations instead. A start whose leaves cannot
+    be evaluated is skipped. A term of affine leaves is convex, so it is
+    solved once, exactly, and an empty one is not handed to SLSQP."""
+    affine = all(leaf.constraint.affine for leaf in leaves)
     best: tuple[np.ndarray, float] | None = None
     stale = 0
-    for i, y0 in enumerate(starts):
+    for i, y0 in enumerate([z] if affine else starts):
         try:
-            res = minimize(objective, y0, jac=objective_jac, method="SLSQP",
-                           constraints=constraints,
-                           options={"maxiter": maxiter, "ftol": 1e-16})
+            y = _newton_term(leaves, z, y0)
+            if y is None:
+                if affine:
+                    return None
+                y = _slsqp_start(leaves, z, y0, maxiter)
+            y = _newton_feasibility(leaves, y, 4, slack=_FEAS_TOL * 1e-3)
+            vals = [leaf.constraint.value_checked(y) for leaf in leaves]
         except (EvaluationError, FloatingPointError):
             continue
-        y = _newton_feasibility(leaves, np.asarray(res.x, dtype=float), 4,
-                                slack=_FEAS_TOL * 1e-3)
-        vals = [leaf.constraint.value_checked(y) for leaf in leaves]
         if max(vals) > _FEAS_TOL:
             continue
         d = float(np.linalg.norm(y - z))
@@ -350,7 +599,7 @@ def _project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray
             stale = 0
         else:
             stale += 1
-            # convex terms settle immediately; stop burning starts once stable
+            # starts rarely improve once two agree; stop burning them
             if stale >= 2 and i >= 2:
                 break
     return best
@@ -368,10 +617,28 @@ def _term_lower_bound(leaves: Sequence[Leaf], x: np.ndarray) -> float:
     return lb
 
 
+def _local_starts(leaves: Sequence[Leaf], x: np.ndarray) -> list[np.ndarray]:
+    """x and its Newton restoration onto the leaves; the restoration is left
+    out when it steps where a leaf cannot be evaluated."""
+    try:
+        return [x.copy(), _newton_feasibility(leaves, x)]
+    except EvaluationError:
+        return [x.copy()]
+
+
 def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
             seed: int = 0, warm: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(y, d): a closest point y of S (its closure) to x and d = |x - y|, which
-    approximates inf_{y in S} |x - y| from above, by multi-start local descent."""
+    approximates inf_{y in S} |x - y| from above.
+
+    Each DNF term of S (`SetDescription._terms`) is projected onto by
+    `project_term`, in the order of a linearized distance bound, skipping a
+    term whose bound is over 4 d of the best so far. A term of affine leaves
+    is an exact QP. Any other term runs Lagrange-Newton from `warm`, x, x's
+    Newton restoration onto the term and seed-tagged random points, up to
+    `starts` in all, and stops once two further starts fail to improve; a
+    start that does not converge falls back to SLSQP. Raises NonConvergence
+    when no start of any term finds a feasible point."""
     x = np.asarray(x, dtype=float)
     closed = S.closure()
     if closed.classify(x, 0.0) != Membership.OUTSIDE:
@@ -385,13 +652,12 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
         term_starts: list[np.ndarray] = []
         if warm is not None:
             term_starts.append(np.asarray(warm, dtype=float))
-        term_starts.append(x.copy())
-        term_starts.append(_newton_feasibility(leaves, x))
+        term_starts.extend(_local_starts(leaves, x))
         scale = 1.0 + float(np.linalg.norm(x))
         while len(term_starts) < max(3, starts):
             radius = scale * float(rng.uniform(0.05, 1.5))
             term_starts.append(x + radius * rng.normal(size=S.n) / np.sqrt(S.n))
-        got = _project_term(leaves, x, term_starts, _PROJECT_MAXITER)
+        got = project_term(leaves, x, term_starts, _PROJECT_MAXITER)
         if got is not None and (best is None or got[1] < best[1]):
             best = got
     if best is None:
@@ -400,20 +666,26 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
 
 
 def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray) -> np.ndarray | None:
-    """A nearby (not necessarily closest) point of S: Newton restoration on the
-    most promising DNF term, one local solve as fallback. Cheap enough for
-    samplers; use project() when the minimizer itself matters."""
+    """A nearby (not necessarily closest) point of S, or None: Newton
+    restoration on each DNF term in the order of a linearized distance bound,
+    then, as fallback, `project_term` on the two most promising terms from x
+    and its restoration. A term whose restoration leaves its leaves' domain
+    is skipped. Cheap enough for samplers; use project() when the minimizer
+    itself matters."""
     x = np.asarray(x, dtype=float)
     closed = S.closure()
     if closed.classify(x, 0.0) != Membership.OUTSIDE:
         return x.copy()
     terms = sorted(closed._terms, key=lambda lv: _term_lower_bound(lv, x))
     for leaves in terms:
-        y = _newton_feasibility(leaves, x, iters=30)
-        if max(leaf.constraint.value_checked(y) for leaf in leaves) <= _FEAS_TOL:
-            return y
+        try:
+            y = _newton_feasibility(leaves, x, iters=30)
+            if max(leaf.constraint.value_checked(y) for leaf in leaves) <= _FEAS_TOL:
+                return y
+        except EvaluationError:
+            continue  # restoration left the leaves' domain
     for leaves in terms[:2]:
-        got = _project_term(leaves, x, [x.copy(), _newton_feasibility(leaves, x)], 40)
+        got = project_term(leaves, x, _local_starts(leaves, x), 40)
         if got is not None:
             return got[0]
     return None

@@ -15,10 +15,9 @@ import zlib
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import geometry as geo
-from .fields import EvaluationError, gradient
+from .fields import negated
 from .model import HybridSystem, KComplex
 
 __all__ = [
@@ -245,26 +244,15 @@ def _strict_leaf_targets(kc: KComplex, H: HybridSystem, box: np.ndarray,
     strict = [leaf for leaf in H.D.leaves() if leaf.strict]
     if not strict or not starts:
         return out
-    cons = [geo.term_constraint(kc.K_e.leaves())]
     for leaf in strict:
         c = leaf.constraint
-
-        def obj(y: np.ndarray, _c=c) -> float:
-            return float(_c.value_checked(np.asarray(y)) ** 2)
-
-        def obj_jac(y: np.ndarray, _c=c) -> np.ndarray:
-            y = np.asarray(y)
-            return 2.0 * _c.value_checked(y) * gradient(_c, y)
-
+        # {c <= 0, -c <= 0} is the zero set of c
+        term = (geo.Leaf(c), geo.Leaf(negated(c)), *kc.K_e.leaves())
         for y0 in starts[:8]:
-            try:
-                res = minimize(obj, y0, jac=obj_jac, method="SLSQP", constraints=cons,
-                               options={"maxiter": 60, "ftol": 1e-18})
-            except (EvaluationError, FloatingPointError):
-                continue
-            y = np.asarray(res.x, dtype=float)
-            if abs(float(c.value_checked(y))) <= 1e-8 and geo.in_box(y, box):
-                out.append(y)
+            got = geo.project_term(term, y0, [y0], 60)
+            if got is not None and abs(float(c.value_checked(got[0]))) <= 1e-8 \
+                    and geo.in_box(got[0], box):
+                out.append(got[0])
     return out
 
 

@@ -532,3 +532,213 @@ def test_constant_leaves_settle_their_terms(monkeypatch):
                         lambda *a, **k: pytest.fail("classified a draw"))
     res = geo.sample(empty, BOX2, 10, seed=0)
     assert res.points == [] and res.short and res.achieved == 0
+
+
+# ---------------------------------------------------------------------------
+# Projection onto a DNF term: the exact solvers against the SLSQP path they
+# replaced
+
+
+def _slsqp_project_term(leaves, z, starts, maxiter):
+    """The former geometry._project_term, kept as the reference: SLSQP from
+    every start, polished by Newton restoration, with the same stale rule."""
+    constraints = [geo.term_constraint(leaves)]
+    best = None
+    stale = 0
+    for i, y0 in enumerate(starts):
+        try:
+            res = minimize(lambda y: float((y - z) @ (y - z)), y0,
+                           jac=lambda y: 2.0 * (y - z), method="SLSQP",
+                           constraints=constraints,
+                           options={"maxiter": maxiter, "ftol": 1e-16})
+        except (fl.EvaluationError, FloatingPointError):
+            continue
+        y = geo._newton_feasibility(leaves, np.asarray(res.x, dtype=float), 4,
+                                    slack=geo._FEAS_TOL * 1e-3)
+        if max(leaf.constraint.value_checked(y) for leaf in leaves) > geo._FEAS_TOL:
+            continue
+        d = float(np.linalg.norm(y - z))
+        if best is None or d < best[1] - 1e-12 * (1.0 + best[1]):
+            best = (y, d)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= 2 and i >= 2:
+                break
+    return best
+
+
+def _term_starts(leaves, z, rng, count=6):
+    """project()'s start list for one term: z, its Newton restoration and
+    random points around z."""
+    starts = geo._local_starts(leaves, z)
+    scale = 1.0 + float(np.linalg.norm(z))
+    while len(starts) < count:
+        starts.append(z + scale * float(rng.uniform(0.05, 1.5))
+                      * rng.normal(size=len(z)) / np.sqrt(len(z)))
+    return starts
+
+
+def _degenerate(leaves, y):
+    """The active gradients at y vanish or are nearly dependent, once the
+    two rows of a hyperplane (c and -c) count as one. There the 1e-9
+    feasibility tolerance admits points up to ~1e-3 from the projection
+    (on expcount, x2 = 0 meets x2 + max(x1, 0)^3 <= 0 tangentially), and
+    both solvers stop somewhere inside that slack."""
+    rows = []
+    for leaf in leaves:
+        if abs(leaf.constraint(y)) <= 1e-9:
+            g = fl.gradient(leaf.constraint, y)
+            if float(np.linalg.norm(g)) <= 1e-3:
+                return True
+            u = g / np.linalg.norm(g)
+            if not any(np.array_equal(u, r) or np.array_equal(u, -r) for r in rows):
+                rows.append(u)
+    return len(rows) > 1 and np.linalg.svd(np.array(rows), compute_uv=False)[-1] <= 1e-3
+
+
+def _assert_no_worse(leaves, z, rng):
+    """The new solver's distance is at most the reference's + 1e-9 where the
+    reference succeeds (+ 1e-3 at a degenerate reference point); its point
+    is feasible and at its distance from z. Returns whether the reference
+    succeeded."""
+    starts = _term_starts(leaves, z, rng)
+    ref = _slsqp_project_term(leaves, z, starts, 80)
+    new = geo.project_term(leaves, z, starts, 80)
+    if ref is not None:
+        assert new is not None, (z, [leaf.constraint.name for leaf in leaves])
+        slack = 1e-3 if _degenerate(leaves, ref[0]) else 1e-9
+        assert new[1] <= ref[1] + slack, (z, new, ref, [l.constraint.name for l in leaves])
+    if new is not None:
+        y, d = new
+        assert max(leaf.constraint.value_checked(y) for leaf in leaves) <= 1e-9
+        assert float(np.linalg.norm(y - z)) == pytest.approx(d, abs=1e-15)
+    return ref is not None
+
+
+def _affine(coef, b):
+    # "c1*x1 + c2*x2 (+ c3*x3) - b", with the variable count from coef
+    text = " + ".join(f"({c!r})*x{i + 1}" for i, c in enumerate(coef)) + f" - ({b!r})"
+    return _expr_leaf(text, len(coef))
+
+
+def test_affine_terms_match_slsqp_on_random_polyhedra():
+    rng = np.random.default_rng(99)
+    succeeded = 0
+    for case in range(120):
+        n = 2 + case % 2
+        leaves = []
+        for _ in range(int(rng.integers(1, 7))):
+            g = rng.normal(size=n)
+            b = float(rng.uniform(-0.5, 1.0))
+            leaves.append(_affine(g.tolist(), b))
+            kind = rng.uniform()
+            if kind < 0.25:  # an opposite pair: a hyperplane
+                leaves.append(_affine((-g).tolist(), -b))
+            elif kind < 0.4:  # a redundant parallel leaf
+                leaves.append(_affine(g.tolist(), b + 0.5))
+            elif kind < 0.5:  # a duplicate
+                leaves.append(leaves[-1])
+        assert all(leaf.constraint.affine for leaf in leaves)
+        z = rng.normal(size=n) * 2.0
+        if max(leaf.constraint(z) for leaf in leaves) <= 0.0:
+            continue
+        succeeded += _assert_no_worse(tuple(leaves), z, rng)
+    assert succeeded >= 60
+
+
+_SMOOTH = [
+    lambda r: f"(x1 - {r.uniform(-1, 1)!r})^2 + (x2 - {r.uniform(-1, 1)!r})^2 - {r.uniform(0.2, 1.5)!r}",
+    lambda r: f"{r.uniform(0.2, 1.5)!r} - (x1 - {r.uniform(-1, 1)!r})^2 - (x2 - {r.uniform(-1, 1)!r})^2",
+    lambda r: f"x2 - {r.uniform(-2, 2)!r}*x1^2 - {r.uniform(-1, 1)!r}",
+    lambda r: "x2*(x1^2 + x2^2 - 1)",
+    lambda r: f"{r.uniform(-1, 1)!r}*x1 + {r.uniform(-1, 1)!r}*x2 - {r.uniform(0, 1)!r}",
+]
+
+
+def test_smooth_terms_match_slsqp():
+    rng = np.random.default_rng(7)
+    succeeded = 0
+    for _ in range(150):
+        kinds = rng.integers(len(_SMOOTH), size=int(rng.integers(1, 4)))
+        leaves = tuple(_expr_leaf(_SMOOTH[k](rng)) for k in kinds)
+        z = rng.uniform(-2.0, 2.0, size=2)
+        if max(leaf.constraint(z) for leaf in leaves) <= 0.0:
+            continue
+        succeeded += _assert_no_worse(leaves, z, rng)
+    assert succeeded >= 60
+
+
+def test_catalog_terms_match_slsqp():
+    from hibarrier.catalog import EXAMPLE_IDS, example_bundle
+    from hibarrier.model import build_k_complex
+
+    rng = np.random.default_rng(3)
+    checked = 0
+    for name in EXAMPLE_IDS:
+        b = example_bundle(name)
+        kc = build_k_complex(b.system, b.barrier)
+        for S in (kc.K, kc.K_e, kc.KC, b.system.C):
+            for leaves in S.closure()._terms:
+                for z in geo._box_draws(rng, b.box, 50):
+                    if max((leaf.constraint(z) for leaf in leaves), default=0.0) > 0.0:
+                        _assert_no_worse(leaves, z, rng)
+                        checked += 1
+    assert checked >= 1000
+
+
+def test_vanishing_gradient_falls_back_to_slsqp(monkeypatch):
+    # the gradient of (|x|^2 - 1)^2 vanishes on its zero set, the unit circle,
+    # and at the origin, where Newton has no step and SLSQP takes over
+    S = geo.SetDescription(2, _expr_leaf("(x1^2 + x2^2 - 1)^2"))
+    calls = []
+    real = geo.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "minimize", counted)
+    y, d = geo.project(S, [0.0, 0.0])
+    assert calls and np.allclose(calls[0], 0.0)
+    assert d == pytest.approx(1.0, abs=1e-4)
+    assert abs(float(y @ y) - 1.0) <= 1e-4
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(geo.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hibarrier.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src), "PATH": ""})
+    assert out.stdout.strip() == "False"
+
+
+def test_evaluation_error_in_one_start_does_not_abort_the_projection():
+    # Newton restoration from x steps to x1 < 0, outside log's domain
+    S = geo.SetDescription(2, geo.Intersection((_expr_leaf("log(x1) + x2"),
+                                                _expr_leaf("x1 - 2"))))
+    x = np.array([0.01, 10.0])
+    y, d = geo.project(S, x)
+    assert S.classify(y, 1e-9) != geo.Membership.OUTSIDE
+    assert d == pytest.approx(float(np.linalg.norm(y - x)), abs=1e-15)
+    assert d == pytest.approx(0.0099546, abs=1e-6)
+    f = geo.feasible_point(S, x)
+    assert f is not None and S.classify(f, 1e-9) != geo.Membership.OUTSIDE
+
+
+def test_qp_accepts_opposite_and_dependent_rows():
+    # {x2 <= 0, -x2 <= 0, 2 x2 <= 0, x1 <= 1}: the segment x2 = 0, x1 <= 1
+    A = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [1.0, 0.0]])
+    b = np.array([0.0, 0.0, 0.0, 1.0])
+    y, lam = geo._qp_project(A, b, np.array([3.0, 2.0]))
+    assert y == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert np.all(lam >= 0.0)
+    assert np.array([3.0, 2.0]) - A.T @ lam == pytest.approx(y, abs=1e-12)
+    # x1 <= 0 and -x1 <= -1 have no common point
+    assert geo._qp_project(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]),
+                           np.zeros(2)) is None
