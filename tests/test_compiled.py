@@ -284,3 +284,30 @@ def test_term_constraint_gives_the_same_slsqp_iterates():
         assert runs[0].x.tobytes() == runs[1].x.tobytes()
         assert (runs[0].nit, runs[0].nfev, runs[0].status) == \
             (runs[1].nit, runs[1].nfev, runs[1].status)
+
+
+# ---------------------------------------------------------------------------
+# Second partials and affine leaves, compiled at load time
+
+
+@pytest.mark.parametrize("text,affine,curved", [
+    ("x1 - 2*x2 + 3", True, False),
+    ("1", True, False),
+    ("x1*x2 - sqrt(2)", False, True),
+    ("x2*(x1^2 + x2^2 - 1)", False, True),
+    ("exp(x1) - log(x2)", False, True),
+    ("x1^2 - abs(x2)", False, False),
+    ("x2 + (2/3)*max(x1, 0)^3", False, False),
+])
+def test_config_marks_affine_leaves_and_compiles_second_partials(text, affine, curved):
+    from hibarrier.config import _field_from_expr
+
+    f = _field_from_expr(text, 2, {}, "test")
+    assert f.affine is affine
+    assert (f.hess is not None) is curved
+    if curved:
+        # the Hessian is the central difference of the analytic gradient
+        x, h = np.array([0.7, 1.3]), 1e-6
+        fd = np.array([(f.grad(x + e) - f.grad(x - e)) / (2 * h) for e in np.eye(2) * h]).T
+        assert f.hess(x) == pytest.approx(fd, abs=1e-6)
+        assert f.hess(x) == pytest.approx(f.hess(x).T, rel=1e-12)
