@@ -365,7 +365,7 @@ def _qp_project(A: np.ndarray, b: np.ndarray, z: np.ndarray
         # the row violated most in its own units joins, so that of dependent
         # rows the one with the larger gradient carries the multiplier
         p = int(np.where(viol > tol, viol * scale, -np.inf).argmax())
-        if p in active:
+        if p in active:  # only rounding leaves an active row violated
             return y, np.maximum(lam, 0.0) / scale
         a = An[p]
         while True:
@@ -469,15 +469,11 @@ def _kink_qp(models: list[list[list[np.ndarray]]], c: np.ndarray, w: np.ndarray,
     choice of the leaves' alternative models, and the closest solution
     kept; L = None stands for the identity (a Gauss-Newton step)."""
     best = None
+    centre = w if L is None else np.linalg.solve(L, w)
     for choice in itertools.product(*models):
         owner = [j for j, rows in enumerate(choice) for _ in rows]
         G = np.array([row for rows in choice for row in rows])
-        if L is None:
-            got = _qp_project(G, -c[owner], w)
-            centre = w
-        else:
-            centre = np.linalg.solve(L, w)
-            got = _qp_project(np.linalg.solve(L, G.T).T, -c[owner], centre)
+        got = _qp_project(G if L is None else np.linalg.solve(L, G.T).T, -c[owner], centre)
         if got is not None:
             gap = float((got[0] - centre) @ (got[0] - centre))
             if best is None or gap < best[0]:
