@@ -711,20 +711,24 @@ def _cset_spot_checks(kc: KComplex, H: HybridSystem, cfg: CheckConfig,
         col.mark_inconclusive("C-set precondition: K produced no samples")
         return False
     rng = regions.rng_for(cfg.seed, "cset-convexity")
-    for _ in range(cfg.samples):
-        a = pts[int(rng.integers(len(pts)))]
-        b = pts[int(rng.integers(len(pts)))]
-        mid = 0.5 * (a + b)
-        if kc.K.classify(mid, 1e-9) == geo.Membership.OUTSIDE:
-            col.mark_inconclusive(f"C-set precondition fails: K not convex at "
-                                  f"midpoint {mid.tolist()}")
-            return False
+    pairs = [(int(rng.integers(len(pts))), int(rng.integers(len(pts))))
+             for _ in range(cfg.samples)]
+    mids = np.array([0.5 * (pts[a] + pts[b]) for a, b in pairs])
+    for i in geo._rows_ranked(kc.K, mids, 1e-9, (2,)):  # the first outside midpoint
+        col.mark_inconclusive(f"C-set precondition fails: K not convex at "
+                              f"midpoint {mids[i].tolist()}")
+        return False
     if not _clear_of_box(pts, box):
         col.note("compactness heuristic: K samples touch the bounding box")
     return True
 
 
 _CSET_H_FLOOR = 1e-4  # quotient noise guard for Minkowski/limsup estimates
+
+
+def _minkowski(K: geo.SetDescription, points: list[np.ndarray]) -> list[float]:
+    """The Minkowski functional of K at each point, from one block call."""
+    return list(geo.minkowski(K, np.array(points))) if points else []
 
 
 def check_cset(H: HybridSystem, B: BarrierCandidate | None, cfg: CheckConfig,
@@ -747,18 +751,21 @@ def check_cset(H: HybridSystem, B: BarrierCandidate | None, cfg: CheckConfig,
     hs = [h for h in geo.CONE_H if h >= _CSET_H_FLOOR]
 
     if direction == "minkowski":
-        for x in regions.boundary_k_in_c(kc, H, box, cfg.samples, cfg.band,
-                                         seed=cfg.seed):
-            psi_x = geo.minkowski(kc.K, x)
-            if abs(psi_x - 1.0) > 1e-6:
-                continue  # not boundary-accurate enough for the rate quotient
-            for eta in _filtered_images(H, x, cfg, col):
-                rate = min((geo.minkowski(kc.K, x + h * eta) - 1.0) / h for h in hs)
+        # each leg's Minkowski values come from one call over all its points
+        xs = regions.boundary_k_in_c(kc, H, box, cfg.samples, cfg.band, seed=cfg.seed)
+        # a point not boundary-accurate enough for the rate quotient is skipped
+        legs = [(x, _filtered_images(H, x, cfg, col))
+                for x, psi_x in zip(xs, _minkowski(kc.K, xs)) if abs(psi_x - 1.0) <= 1e-6]
+        psi = iter(_minkowski(kc.K, [x + h * eta for x, etas in legs
+                                     for eta in etas for h in hs]))
+        for x, etas in legs:
+            for eta in etas:
+                rate = min((next(psi) - 1.0) / h for h in hs)
                 col.add("cset:mink:flow", x, rate, -cfg.margin_strict, eta=eta)
-        for x in regions.jump_region(kc, H, box, cfg.samples, seed=cfg.seed):
-            for g in image_samples(H.G, x, cfg.scheme):
-                col.add("cset:mink:jump", x, geo.minkowski(kc.K, np.asarray(g)),
-                        1.0 - cfg.margin_strict, eta=g)
+        images = [(x, g) for x in regions.jump_region(kc, H, box, cfg.samples, seed=cfg.seed)
+                  for g in image_samples(H.G, x, cfg.scheme)]
+        for (x, g), psi_g in zip(images, _minkowski(kc.K, [g for _, g in images])):
+            col.add("cset:mink:jump", x, psi_g, 1.0 - cfg.margin_strict, eta=g)
     else:
         for i in range(B.m):
             b_i = B.components[i]

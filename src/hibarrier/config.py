@@ -60,9 +60,14 @@ def _field_from_expr(text: str, n: int, constants: dict, where: str,
     if smooth and not affine:
         flat = ex.compile_vector(second)
         hess = lambda x: flat(x).reshape(n, n)  # noqa: E731
+    # the row targets are compiled on their first use, so a run that never
+    # evaluates a block of points never builds them
     return ScalarField(n=n, fn=lambda x: value(x, ()),
                        grad=ex.compile_vector(partials) if smooth else None,
-                       tag=smoothness, name=text, affine=affine, hess=hess)
+                       tag=smoothness, name=text, affine=affine, hess=hess,
+                       rows=ex.lazy(lambda: ex.compile_rows(ast)),
+                       grad_rows=ex.lazy(lambda: ex.compile_vector_rows(partials))
+                       if smooth else None)
 
 
 def _set_from_tree(tree, n: int, constants: dict, where: str) -> geo.Node:

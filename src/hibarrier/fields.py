@@ -52,7 +52,10 @@ class ScalarField:
     finite differences at (assumed) differentiable points. `hess`, when
     present, gives the exact n x n matrix of second partials. `affine` marks
     a field whose second partials are all identically zero, so its gradient
-    is the same at every point.
+    is the same at every point. `rows` and `grad_rows`, when present, are
+    the row targets of `fn` and `grad`: an (N, n) block to the N values, or
+    to the (N, n) gradients, each row equal to the one-point result bit for
+    bit.
     """
 
     n: int
@@ -62,6 +65,8 @@ class ScalarField:
     name: str = ""
     affine: bool = False
     hess: Callable[[np.ndarray], np.ndarray] | None = None
+    rows: Callable[[np.ndarray], np.ndarray] | None = None
+    grad_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: Sequence[float] | np.ndarray) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -72,14 +77,24 @@ class ScalarField:
             raise EvaluationError(f"field {self.name or '<anon>'} is non-finite", x)
         return v
 
+    def value_rows(self, X: np.ndarray) -> np.ndarray:
+        """fn at every row of the (N, n) block X, unchecked: `rows` when the
+        field has it, else a loop of fn over the rows."""
+        if self.rows is not None:
+            return self.rows(X)
+        return np.array([float(self.fn(x)) for x in X], dtype=float)
+
 
 def negated(f: ScalarField) -> ScalarField:
-    """-f, keeping f's gradient, second partials and affinity (negated)."""
+    """-f, keeping f's gradient, second partials, row targets and affinity
+    (negated); named -(name), which parses back to -f."""
     return ScalarField(
         f.n, lambda x: -float(f.fn(x)),
         grad=None if f.grad is None else (lambda x: -np.asarray(f.grad(x), dtype=float)),
-        tag=f.tag, name=f"-{f.name}", affine=f.affine,
-        hess=None if f.hess is None else (lambda x: -f.hess(x)))
+        tag=f.tag, name=f"-({f.name})", affine=f.affine,
+        hess=None if f.hess is None else (lambda x: -f.hess(x)),
+        rows=None if f.rows is None else (lambda X: -f.rows(X)),
+        grad_rows=None if f.grad_rows is None else (lambda X: -f.grad_rows(X)))
 
 
 def fd_step(x: np.ndarray, scale: float = 1e-6) -> float:

@@ -97,6 +97,65 @@ def test_vector_matches_components(components, x, p):
         assert same(float(g), walk(ast, x, p))
 
 
+def _rows(x_rows):
+    return np.array(x_rows, dtype=float).reshape(len(x_rows), 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(asts, st.lists(points, min_size=1, max_size=4), params)
+def test_row_target_matches_scalar(ast, x_rows, p):
+    X = _rows(x_rows)
+    with np.errstate(all="ignore"):  # as the geometry callers run row functions
+        got = ex.compile_rows(ast)(X, p)
+    assert got.dtype == np.float64 and got.shape == (len(X),)
+    f = ex.compile_ast(ast)
+    for g, x in zip(got, X):
+        assert same(float(g), f(x, p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(asts, min_size=1, max_size=4), st.lists(points, min_size=1, max_size=4),
+       params)
+def test_vector_row_target_matches_scalar(components, x_rows, p):
+    X = _rows(x_rows)
+    with np.errstate(all="ignore"):
+        got = ex.compile_vector_rows(components)(X, p)
+    assert got.dtype == np.float64 and got.shape == (len(X), len(components))
+    f = ex.compile_vector(components)
+    for row, x in zip(got, X):
+        assert all(same(float(g), float(w)) for g, w in zip(row, f(x, p)))
+
+
+def test_row_target_maps_the_math_helpers():
+    # numpy's power, exp and log round differently from math's on some of
+    # these, and numpy's sign keeps nan where sgn gives 0
+    texts = ["x1^2", "x1^3", "x1^1.5", "x1^-1", "exp(x1)", "log(x1)", "sgn(x1)",
+             "min(x1, x2)", "max(x1, x2)", "x1/x2", "sqrt(x1)", "2^3 + log(2)"]
+    rng = np.random.default_rng(5)
+    X = np.concatenate([rng.uniform(-10.0, 10.0, size=(2000, 3)),
+                        np.array([[v, w, 0.0] for v in _SPECIAL for w in _SPECIAL])])
+    for text in texts:
+        ast = ex.parse(text, 3)
+        with np.errstate(all="ignore"):
+            got = ex.compile_rows(ast)(X)
+        f = ex.compile_ast(ast)
+        assert all(same(float(g), f(x, ())) for g, x in zip(got, X)), text
+
+
+def test_row_targets_compile_on_first_use(monkeypatch):
+    built = []
+    real = ex.compile_rows
+    monkeypatch.setattr(ex, "compile_rows", lambda ast: built.append(ast) or real(ast))
+    b = system_from_dict(_doc())
+    smooth = b.barrier.components[0]
+    assert built == []  # loading a system compiles no row target
+    X = np.array([[0.5, 1.0], [-1.0, 2.0]])
+    assert smooth.value_rows(X).tolist() == [smooth.fn(x) for x in X]
+    assert len(built) == 1
+    smooth.value_rows(X)
+    assert len(built) == 1
+
+
 _smooth_atoms = st.one_of(st.sampled_from([0.0, 1.0, -2.0, 0.5]).map(ex.Lit),
                           st.integers(0, 2).map(ex.Var))
 smooth_asts = st.recursive(_smooth_atoms, lambda kids: st.one_of(
@@ -230,6 +289,68 @@ def test_compiled_classifier_matches_tree_walk(spec, x, tol, strict_tol):
     want = _outcome(lambda: classify_node(root, x, tol, st_eff))
     assert got == want
     assert got_calls == log  # the same leaves, in the same order
+
+
+def _classify_rows_matches(S, X, tol, strict_tol):
+    # repeat the rows into a block large enough for the row classifier
+    X = np.tile(X, (-(-geo._ROWS_MIN // len(X)), 1))
+    ranks, err = S.classify_many(X, tol, strict_tol)
+    st_eff = tol if strict_tol is None else strict_tol
+    for x, r, e in zip(X, ranks, err):
+        want = _outcome(lambda: classify_node(S.root, x, tol, st_eff))
+        if e:
+            assert isinstance(want, str)  # classify raises here
+        else:
+            assert want == geo._MEMBERSHIP[r]
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_trees, st.lists(st.lists(st.sampled_from(_COORDS), min_size=3, max_size=3),
+                           min_size=1, max_size=6),
+       st.sampled_from(_TOLS), st.sampled_from([None] + _TOLS))
+def test_classify_many_matches_classify_on_callable_leaves(spec, x_rows, tol, strict_tol):
+    # leaves built from Python callables run through the row-loop adapter
+    root = build_set(spec, [], [])
+    _classify_rows_matches(geo.SetDescription(3, root), _rows(x_rows), tol, strict_tol)
+
+
+_LEAF_TEXTS = ["x1 - 0.5", "x2^2 + x3^2 - 1", "log(x1) + 1", "sqrt(x2) - 0.5",
+               "1/x3 - 2", "exp(x1) - 2", "max(x1, x2) - 0.25", "-x2"]
+expr_trees = st.recursive(
+    st.tuples(st.sampled_from(_LEAF_TEXTS), st.booleans()),
+    lambda kids: st.tuples(st.sampled_from(["all", "any"]), st.lists(kids, min_size=1,
+                                                                     max_size=4)),
+    max_leaves=10)
+
+
+def _expr_tree(spec):
+    if spec[0] in ("all", "any"):
+        return {spec[0]: [_expr_tree(child) for child in spec[1]]}
+    return {"leaf": spec[0], "strict": spec[1]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr_trees, st.lists(st.lists(st.sampled_from(_COORDS + [2.0, -2.0, 0.25]),
+                                     min_size=3, max_size=3), min_size=1, max_size=8),
+       st.sampled_from(_TOLS), st.sampled_from([None] + _TOLS))
+def test_classify_many_matches_classify_on_compiled_leaves(spec, x_rows, tol, strict_tol):
+    doc = {**_doc(), "dim": 3, "params": 0, "C": _expr_tree(spec),
+           "F": ["x2", "x1", "x3"], "G": ["x1", "x2", "x3"], "barrier": ["x1"],
+           "box": [[-2, 2]] * 3}
+    C = system_from_dict(doc).system.C
+    _classify_rows_matches(C, _rows(x_rows), tol, strict_tol)
+
+
+def test_classify_many_marks_only_reached_leaves():
+    b = system_from_dict(_doc(C={"all": ["x1 - 1", "log(x2) - 5", "x1 + x2"]}))
+    C = b.system.C
+    X = np.array([[0.0, -1.0], [2.0, -1.0], [-2.0, 1.0]])
+    # the second row is outside at the first leaf and never reaches log(x2);
+    # a short block is classified row by row, a long one by the row classifier
+    for k in (1, geo._ROWS_MIN // 3 + 1):
+        ranks, err = C.classify_many(np.tile(X, (k, 1)), 0.0)
+        assert err.tolist() == [True, False, False] * k
+        assert ranks[1:3].tolist() == [2, 0]
 
 
 def test_non_finite_leaf_names_the_leaf():

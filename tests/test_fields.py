@@ -210,3 +210,20 @@ def test_clarke_all_nonfinite_raises():
     f = fl.ScalarField(1, lambda x: float("nan"), tag=fl.LIPSCHITZ, name="nanfield")
     with pytest.raises(fl.EvaluationError):
         fl.clarke_support(f, [0.0], [1.0], count=8, seed=0)
+
+
+@pytest.mark.parametrize("text", ["x1^2 + x2^2 - 1", "x1 - x2", "-x1*x2 + 3",
+                                  "max(x1, x2) - 1"])
+def test_negated_name_parses_back_to_minus_f(text):
+    from hibarrier.config import _field_from_expr
+
+    f = _field_from_expr(text, 2, {}, "test")
+    g = fl.negated(f)
+    assert g.name == f"-({text})"
+    back = _field_from_expr(g.name, 2, {}, "test")
+    X = np.random.default_rng(4).uniform(-2.0, 2.0, size=(50, 2))
+    for x in X:
+        assert back.fn(x) == -f.fn(x) == g.fn(x)
+    assert g.value_rows(X).tobytes() == back.value_rows(X).tobytes()
+    if f.grad is not None:
+        assert g.grad_rows(X).tobytes() == back.grad_rows(X).tobytes()

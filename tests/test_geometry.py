@@ -742,3 +742,228 @@ def test_qp_accepts_opposite_and_dependent_rows():
     # x1 <= 0 and -x1 <= -1 have no common point
     assert geo._qp_project(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]),
                            np.zeros(2)) is None
+
+
+# ---------------------------------------------------------------------------
+# Row-batched samplers against the one-point loops they replaced
+
+
+def _sample_ref(S, box, n, seed=0):
+    """geometry.sample with one classify or feasible_point call per draw."""
+    box = np.asarray(box, dtype=float)
+    rng = np.random.default_rng((int(seed), zlib.crc32(b"sample")))
+    points, budget, drawn = [], max(50 * n, 4000), 0
+    while drawn < budget and len(points) < n:
+        batch = geo._box_draws(rng, box, min(512, budget - drawn))
+        drawn += len(batch)
+        for x in batch:
+            if S.classify(x, 0.0) != geo.Membership.OUTSIDE:
+                points.append(x)
+                if len(points) >= n:
+                    break
+    if len(points) < n:
+        for x in geo._box_draws(rng, box, 8 * n):
+            if len(points) >= n:
+                break
+            y = geo.feasible_point(S, x)
+            if y is not None and geo.in_box(y, box):
+                points.append(y)
+    return points[:n]
+
+
+def _sample_boundary_ref(S, box, n, band, seed=0):
+    """geometry.sample_boundary with one classify call per point and step."""
+    box = np.asarray(box, dtype=float)
+    rng = np.random.default_rng((int(seed), zlib.crc32(b"boundary")))
+    inside = _sample_ref(S, box, max(2 * n, 32), seed=seed)
+    points = []
+    for x in inside:
+        if len(points) >= n:
+            break
+        if S.classify(x, band) == geo.Membership.BOUNDARY:
+            points.append(x)
+    if len(points) < n and inside:
+        pool, drawn = [], 0
+        while drawn < 4000 and len(pool) < max(2 * n, 32):
+            batch = geo._box_draws(rng, box, 256)
+            drawn += len(batch)
+            for x in batch:
+                if S.classify(x, 0.0) == geo.Membership.OUTSIDE:
+                    pool.append(x)
+                    if len(pool) >= max(2 * n, 32):
+                        break
+        attempts = 0
+        while pool and len(points) < n and attempts < 8 * n:
+            attempts += 1
+            a = inside[int(rng.integers(len(inside)))]
+            b = pool[int(rng.integers(len(pool)))]
+            for _ in range(80):
+                mid = 0.5 * (a + b)
+                if S.classify(mid, 0.0) == geo.Membership.OUTSIDE:
+                    b = mid
+                else:
+                    a = mid
+            if S.classify(a, band) == geo.Membership.BOUNDARY:
+                points.append(a)
+    return points[:n]
+
+
+def _minkowski_ref(S, x):
+    """geometry.minkowski for one point, one classify call per step."""
+    x = np.asarray(x, dtype=float)
+    if float(np.linalg.norm(x)) == 0.0:
+        return 0.0
+
+    def member(mu):
+        return S.classify(x / mu, 0.0) != geo.Membership.OUTSIDE
+
+    hi = 1.0
+    while not member(hi):
+        hi *= 2.0
+        if hi > 1e12:
+            raise geo.NonConvergence("no finite Minkowski scaling found (set unbounded toward x?)")
+    lo = hi / 2.0
+    while lo > 1e-300 and member(lo):
+        lo /= 2.0
+    if lo <= 1e-300:
+        return 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if member(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-13 * hi:
+            break
+    return hi
+
+
+def _outcome(call):
+    """The points or values a call returns, as bytes, or the error it raises."""
+    try:
+        got = call()
+    except (fl.EvaluationError, geo.NonConvergence) as e:
+        return (type(e).__name__, str(e), getattr(e, "x", np.zeros(0)).tobytes())
+    return [np.asarray(p, dtype=float).tobytes() for p in got]
+
+
+def _expr_set(tree, n=2):
+    from hibarrier.config import _set_from_tree
+
+    return geo.SetDescription(n, _set_from_tree(tree, n, {}, "C"), name="C")
+
+
+# Blocks below geo._ROWS_MIN rows run one row at a time; the tests below also
+# run with the threshold at 1, so that every block takes the row path.
+rows_min = pytest.mark.parametrize("rows_min", [1, geo._ROWS_MIN])
+
+
+@rows_min
+def test_batched_samplers_match_one_point_loops_on_catalog_sets(monkeypatch, rows_min):
+    from hibarrier.catalog import EXAMPLE_IDS, example_bundle
+    from hibarrier.model import build_k_complex
+
+    monkeypatch.setattr(geo, "_ROWS_MIN", rows_min)
+
+    for name in EXAMPLE_IDS:
+        b = example_bundle(name)
+        kc = build_k_complex(b.system, b.barrier)
+        for S in (b.system.C, kc.K, kc.KD):
+            for n in (5, 40):
+                assert _outcome(lambda: geo.sample(S, b.box, n, seed=1).points) == \
+                    _outcome(lambda: _sample_ref(S, b.box, n, seed=1)), (name, S.name)
+            for n in (12, 48):
+                assert _outcome(lambda: geo.sample_boundary(S, b.box, n, 1e-3, seed=2).points) \
+                    == _outcome(lambda: _sample_boundary_ref(S, b.box, n, 1e-3, seed=2))
+
+
+# log(x2 + 0.5) is non-finite below x2 = -0.5, and reached only inside the disk
+_LOG_DISK = {"all": ["x1^2 + x2^2 - 1", "log(x2 + 0.5) - 5"]}
+
+
+@rows_min
+def test_sample_raises_where_the_one_point_loop_does(monkeypatch, rows_min):
+    monkeypatch.setattr(geo, "_ROWS_MIN", rows_min)
+    S = _expr_set(_LOG_DISK)
+    raised = kept = 0
+    for seed in range(12):
+        for n in (1, 2, 30):
+            got = _outcome(lambda: geo.sample(S, BOX2, n, seed=seed).points)
+            assert got == _outcome(lambda: _sample_ref(S, BOX2, n, seed=seed))
+            raised += isinstance(got, tuple)
+            kept += not isinstance(got, tuple)
+    # some draws reach the bad leaf before the n-th point and some only after it
+    assert raised and kept
+    with pytest.raises(fl.EvaluationError, match=r"log\(x2 \+ 0.5\) - 5"):
+        geo.sample(S, BOX2, 30, seed=0)
+
+
+@rows_min
+def test_sample_boundary_raises_where_the_one_point_loop_does(monkeypatch, rows_min):
+    monkeypatch.setattr(geo, "_ROWS_MIN", rows_min)
+    # at tolerance 0 the union stops at the disk for every point inside it;
+    # at the band tolerance a point of the inner band goes on to the second
+    # leaf, which is non-finite there for x1 > 0
+    def bad(x):
+        return np.nan if x[0] > 0.0 and 0.95 <= float(x @ x) < 1.0 else 1.0
+
+    S = geo.SetDescription(2, geo.Union((disk().root, leaf(bad, name="bad"))))
+    outcomes = []
+    for seed in range(8):
+        for n in (1, 2, 6, 40):
+            got = _outcome(lambda: geo.sample_boundary(S, BOX2, n, 0.05, seed=seed).points)
+            assert got == _outcome(lambda: _sample_boundary_ref(S, BOX2, n, 0.05, seed=seed))
+            outcomes.append(isinstance(got, tuple))
+    assert any(outcomes) and not all(outcomes)
+    # here the bisections' midpoints themselves reach a non-finite leaf
+    near = leaf(lambda x: np.nan if abs(float(x @ x) - 1.0) < 1e-4 else -1.0, name="near")
+    S = geo.SetDescription(2, geo.Intersection((disk().root, near)))
+    for seed in range(3):
+        got = _outcome(lambda: geo.sample_boundary(S, BOX2, 40, 1e-2, seed=seed).points)
+        assert got == _outcome(lambda: _sample_boundary_ref(S, BOX2, 40, 1e-2, seed=seed))
+        assert got[0] == "EvaluationError"
+
+
+@rows_min
+def test_minkowski_rows_match_one_point_values_and_errors(monkeypatch, rows_min):
+    monkeypatch.setattr(geo, "_ROWS_MIN", rows_min)
+    S = _expr_set({"all": ["log(x1 + 2) - 1", "x1^2 + x2^2 - 1"]})
+    X = np.random.default_rng(6).uniform(-1.5, 1.5, size=(60, 2))
+    X[7] = 0.0
+    X[8] = [1e-200, 0.0]  # |x| rounds to 0
+    got = geo.minkowski(S, X)
+    assert got.shape == (60,)
+    assert got.tobytes() == np.array([_minkowski_ref(S, x) for x in X]).tobytes()
+    assert geo.minkowski(S, X[0]) == got[0] and isinstance(geo.minkowski(S, X[0]), float)
+    # x1/mu < -2 makes log(x1 + 2) non-finite; the first such row raises
+    bad = np.array([[3.0, 0.0], [-5.0, 0.0], [-7.0, 1.0]])
+    assert _outcome(lambda: geo.minkowski(S, bad)) == \
+        _outcome(lambda: [_minkowski_ref(S, x) for x in bad])
+    far = np.array([[0.5, 0.0], [1e13, 0.0]])  # 1e13 / 2^39 is still outside
+    got = _outcome(lambda: geo.minkowski(disk(), far))
+    assert got[0] == "NonConvergence"
+    assert got == _outcome(lambda: [_minkowski_ref(disk(), x) for x in far])
+
+
+def test_lockstep_restoration_matches_feasible_point_on_catalog_sets(monkeypatch):
+    from hibarrier.catalog import EXAMPLE_IDS, example_bundle
+    from hibarrier.model import build_k_complex
+
+    monkeypatch.setattr(geo, "_ROWS_MIN", 1)
+
+    settled = 0
+    rng = np.random.default_rng(8)
+    for name in EXAMPLE_IDS:
+        b = example_bundle(name)
+        kc = build_k_complex(b.system, b.barrier)
+        H = b.system
+        for S in (H.C, H.D, kc.K, kc.K_e, kc.KC, kc.KD, kc.CuD, *kc.K_ei):
+            X = geo._box_draws(rng, b.box, 40)
+            rows = geo.feasible_point(S, X)
+            one = [geo.feasible_point(S, x) for x in X]
+            assert [None if y is None else y.tobytes() for y in rows] == \
+                [None if y is None else y.tobytes() for y in one], (name, S.name)
+            ranks, _ = S.closure().classify_many(X, 0.0)
+            settled += sum(y is not None and r == 2
+                           for y, r in zip(geo._restoration_rows(S, X), ranks))
+    assert settled > 100  # rows the lockstep restoration itself settled
