@@ -67,7 +67,7 @@ def _field_from_expr(text: str, n: int, constants: dict, where: str,
                        tag=smoothness, name=text, affine=affine, hess=hess,
                        rows=ex.lazy(lambda: ex.compile_rows(ast)),
                        grad_rows=ex.lazy(lambda: ex.compile_vector_rows(partials))
-                       if smooth else None)
+                       if smooth else None, ast=ast)
 
 
 def _set_from_tree(tree, n: int, constants: dict, where: str) -> geo.Node:
@@ -97,7 +97,9 @@ def _map_from_exprs(exprs, n: int, k: int, constants: dict, where: str,
         raise ConfigError(f"{where}: expected {n} component expressions")
     asts = [_parse_expr(t, n, k, constants, f"{where}[{i}]")
             for i, t in enumerate(exprs)]
-    return SetValuedMap(n=n, k=k, fn=ex.compile_vector(asts), name=name)
+    # the integrator's step is compiled on its first use, like the row targets
+    return SetValuedMap(n=n, k=k, fn=ex.compile_vector(asts), name=name,
+                        rk4=ex.lazy(lambda: ex.compile_step(asts)))
 
 
 def _is_int(v) -> bool:

@@ -32,6 +32,8 @@ __all__ = [
     "compile_vector",
     "compile_rows",
     "compile_vector_rows",
+    "compile_step",
+    "inline",
     "lazy",
     "differentiate",
     "depends_on",
@@ -128,6 +130,13 @@ class _Token:
     column: int
 
 
+# ASCII only: str.isdigit and str.isalpha also accept other scripts' digits
+# and letters ('²', '٣'), which float() rejects or reads as other numbers
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
+
+
 def _tokenize(text: str) -> list[_Token] | Diagnostic:
     tokens: list[_Token] = []
     i, line, col = 0, 1, 1
@@ -143,10 +152,10 @@ def _tokenize(text: str) -> list[_Token] | Diagnostic:
             i += 1
             continue
         start, sline, scol = i, line, col
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
@@ -154,16 +163,16 @@ def _tokenize(text: str) -> list[_Token] | Diagnostic:
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
             tokens.append(_Token("NUMBER", text[start:j], start, sline, scol))
             col += j - i
             i = j
-        elif c.isalpha() or c == "_":
+        elif c in _IDENT_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             tokens.append(_Token("IDENT", text[start:j], start, sline, scol))
             col += j - i
@@ -460,10 +469,16 @@ class _Emitter:
     the same function is computed once. With `rows`, x is an (N, n) block
     and each variable is a column; where the scalar helpers return inf or
     nan quietly, numpy may warn, so callers run row functions under
-    np.errstate."""
+    np.errstate. With `variables`, x has been unpacked into local floats
+    and variable i is the local named variables[i]; `prefix` starts every
+    name the emitter makes, so that the code of several emitters can share
+    one function and one namespace."""
 
-    def __init__(self, rows: bool = False) -> None:
+    def __init__(self, rows: bool = False, variables: Sequence[str] | None = None,
+                 prefix: str = "") -> None:
         self.rows = rows
+        self.variables = variables
+        self.prefix = prefix
         self.lines: list[str] = []
         self.namespace: dict[str, object] = dict(_HELPERS)
         self.names: dict[tuple, str] = {}
@@ -471,7 +486,7 @@ class _Emitter:
         self.binary = _ROWS_BINARY_CODE if rows else _BINARY_CODE
 
     def _assign(self, key: tuple, code: str) -> str:
-        name = f"t{len(self.lines)}"
+        name = f"{self.prefix}t{len(self.lines)}"
         self.lines.append(f"{name} = {code}")
         self.names[key] = name
         return name
@@ -481,11 +496,13 @@ class _Emitter:
         if isinstance(ast, (Lit, Const)):
             key = ("c", struct.pack("<d", ast.value))
             if key not in self.names:
-                name = f"c{len(self.names)}"
+                name = f"{self.prefix}c{len(self.names)}"
                 self.namespace[name] = float(ast.value)
                 self.names[key] = name
             return self.names[key]
         if isinstance(ast, Var):
+            if self.variables is not None:
+                return self.variables[ast.index]
             key = ("x", ast.index)
             code = f"x[:, {ast.index}]" if self.rows else f"float(x[{ast.index}])"
             return self.names.get(key) or self._assign(key, code)
@@ -533,6 +550,45 @@ def compile_vector(asts: Sequence[Ast]) -> Callable[[Sequence[float], Sequence[f
     em = _Emitter()
     results = [em.emit(a) for a in asts]
     return em.function("x, p=()", f"_array([{', '.join(results)}])")
+
+
+def compile_step(asts: Sequence[Ast]) -> Callable[[np.ndarray, Sequence[float], float],
+                                                  np.ndarray]:
+    """One classical 4-stage step of x' = f(x, p), f = compile_vector(asts),
+    as one generated function step(x, p, h) for a float array x: x is
+    unpacked once and the four stages run as straight-line code on floats.
+    Each stage and the combination keep the order of numpy's
+
+        k1 = f(x), k2 = f(x + 0.5 * h * k1), k3 = f(x + 0.5 * h * k2),
+        k4 = f(x + h * k3), x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    and use only IEEE + and * on doubles, so the result equals that numpy
+    step bit for bit."""
+    xs = [f"x{i}" for i in range(len(asts))]
+    em = _Emitter(variables=xs)
+    em.lines += [f"{', '.join(xs)}, = x.tolist()", "a = 0.5 * h"]
+    ks: list[list[str]] = []
+    for stage, coef in enumerate((None, "a", "a", "h")):
+        if coef is not None:
+            em.variables = [f"y{stage}_{i}" for i in range(len(asts))]
+            em.lines += [f"{y} = {x} + {coef} * {k}"
+                         for y, x, k in zip(em.variables, xs, ks[-1])]
+        ks.append([em.emit(a) for a in asts])
+    em.lines.append("b = h / 6.0")
+    out = [f"{x} + b * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
+           for x, k1, k2, k3, k4 in zip(xs, *ks)]
+    return em.function("x, p, h", f"_array([{', '.join(out)}])")
+
+
+def inline(ast: Ast, variables: Sequence[str],
+           prefix: str) -> tuple[list[str], str, dict[str, object]]:
+    """The straight-line lines that compute `ast` where variable i is the
+    local float named variables[i], for a code generator to paste into its
+    own function: (lines, the name holding the value, the globals the lines
+    need). Every name the lines make starts with `prefix`."""
+    em = _Emitter(variables=variables, prefix=prefix)
+    value = em.emit(ast)
+    return em.lines, value, em.namespace
 
 
 def compile_vector_rows(asts: Sequence[Ast]) -> Callable[[np.ndarray, Sequence[float]],

@@ -55,7 +55,8 @@ class ScalarField:
     is the same at every point. `rows` and `grad_rows`, when present, are
     the row targets of `fn` and `grad`: an (N, n) block to the N values, or
     to the (N, n) gradients, each row equal to the one-point result bit for
-    bit.
+    bit. `ast`, when present, is the expression `fn` was compiled from, for
+    code generators that inline the field.
     """
 
     n: int
@@ -67,6 +68,7 @@ class ScalarField:
     hess: Callable[[np.ndarray], np.ndarray] | None = None
     rows: Callable[[np.ndarray], np.ndarray] | None = None
     grad_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    ast: object = None
 
     def __call__(self, x: Sequence[float] | np.ndarray) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
@@ -180,16 +182,31 @@ def clarke_support(f: ScalarField, x: Sequence[float] | np.ndarray,
 
 @dataclass(frozen=True)
 class SetValuedMap:
+    """`rk4`, when present, is a generated step(x, lam, h) equal bit for bit
+    to step's numpy RK4 over fn (config builds it with expr.compile_step)."""
+
     n: int
     k: int
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
+    rk4: Callable[[np.ndarray, np.ndarray, float], np.ndarray] | None = None
 
     def __call__(self, x: Sequence[float] | np.ndarray,
                  lam: Sequence[float] | np.ndarray = ()) -> np.ndarray:
         out = np.asarray(self.fn(np.asarray(x, dtype=float),
                                  np.asarray(lam, dtype=float)), dtype=float)
         return out
+
+    def step(self, x: np.ndarray, lam: np.ndarray, h: float) -> np.ndarray:
+        """One classical 4-stage step of x' = f(x, lam) from the float array
+        x with step h."""
+        if self.rk4 is not None:
+            return self.rk4(x, lam, h)
+        k1 = self(x, lam)
+        k2 = self(x + 0.5 * h * k1, lam)
+        k3 = self(x + 0.5 * h * k2, lam)
+        k4 = self(x + h * k3, lam)
+        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)

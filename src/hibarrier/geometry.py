@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .expr import compile_source
+from .expr import compile_source, inline
 from .fields import EvaluationError, ScalarField, fd_step, gradient
 
 __all__ = [
@@ -122,7 +122,11 @@ def _compile_classifier(root: Node, rows: bool = False):
     value_checked; an intersection stops at its first outside child, a union
     at its first inside one. A child of the same kind as its parent is
     spliced in (the same leaves in the same order, the same stopping point);
-    every other inner node gets its own function.
+    every other inner node gets its own function. A leaf whose field carries
+    its expression (config builds such fields) is inlined: its node function
+    unpacks x once, the expression's generated lines compute the value in
+    place of the value_checked call, and only a non-finite value calls
+    value_checked, which raises the same EvaluationError.
 
     With `rows`, the same tree gives f(X, tol, strict_tol) -> (ranks, fine)
     for an (N, n) block: each node evaluates a child only on the rows that
@@ -142,11 +146,26 @@ def _compile_classifier(root: Node, rows: bool = False):
         closed = "0 if v < -tol else 2 if v > tol else 1"
         strict = "(0 if v < 0.0 else 2) if st == 0.0 else (0 if v < -st else 2 if v > st else 1)"
 
-    def leaf_value(leaf: Leaf) -> str:
-        name = f"vc{len(namespace)}"
+    def inlined(node: Node) -> bool:
+        return not rows and isinstance(node, Leaf) and node.constraint.ast is not None
+
+    def leaf_lines(leaf: Leaf, arg: str, indent: str) -> list[str]:
+        """Lines that leave the leaf's value, checked, in v."""
+        checked = f"vc{len(namespace)}"
         c = leaf.constraint
-        namespace[name] = c.value_rows if rows else c.value_checked
-        return name
+        namespace[checked] = c.value_rows if rows else c.value_checked
+        if not inlined(leaf):
+            return [f"{indent}v = {checked}({arg})"]
+        lines, value, needs = inline(c.ast, [f"x{i}" for i in range(c.n)], f"{checked}_")
+        namespace.update(needs)
+        # v - v is 0.0 for every finite v and nan otherwise
+        return [f"{indent}{line}" for line in [*lines, f"v = {value}",
+                                               "if v - v != 0.0:", f"    v = {checked}(x)"]]
+
+    def unpack(nodes: list[Node]) -> list[str]:
+        """x as the locals x0, x1, ... when one of the nodes is an inlined leaf."""
+        n = next((node.constraint.n for node in nodes if inlined(node)), 0)
+        return [f"    {', '.join(f'x{i}' for i in range(n))}, = x.tolist()"] if n else []
 
     def children(node: Node) -> list[Node]:
         out: list[Node] = []
@@ -158,26 +177,27 @@ def _compile_classifier(root: Node, rows: bool = False):
         inner: list[str] = []
         if isinstance(node, Leaf):
             rank = strict if node.strict else closed
-            body = [f"    v = {leaf_value(node)}(x)",
+            body = [*unpack([node]), *leaf_lines(node, "x", "    "),
                     f"    return {rank}, _isfinite(v)" if rows else f"    return {rank}"]
         elif isinstance(node, (Intersection, Union)):
             stop = 2 if isinstance(node, Intersection) else 0
+            kids = children(node)
             body = ([f"    w = _full(len(x), {2 - stop})", "    fine = _ones(len(x), bool)",
-                     "    on = _arange(len(x))"] if rows else [f"    w = {2 - stop}"])
-            for child in children(node):
+                     "    on = _arange(len(x))"] if rows else [*unpack(kids), f"    w = {2 - stop}"])
+            for child in kids:
                 if isinstance(child, Leaf):
-                    value, rank = leaf_value(child), strict if child.strict else closed
+                    rank = strict if child.strict else closed
                 else:
                     inner.append(node_function(child))
                 if rows:
                     sub = "x[on] if len(on) < len(x) else x"
-                    body += (["    if len(on):", f"        v = {value}({sub})",
+                    body += (["    if len(on):", *leaf_lines(child, sub, "        "),
                               f"        on = _fold(w, fine, on, {rank}, _isfinite(v), {stop})"]
                              if isinstance(child, Leaf) else
                              ["    if len(on):",
                               f"        on = _fold(w, fine, on, *{inner[-1]}({sub}, tol, st), {stop})"])
                 else:
-                    body += ([f"    v = {value}(x)", f"    r = {rank}"]
+                    body += ([*leaf_lines(child, "x", "    "), f"    r = {rank}"]
                              if isinstance(child, Leaf) else [f"    r = {inner[-1]}(x, tol, st)"])
                     body += [f"    if r {'>' if stop == 2 else '<'} w:", f"        if r == {stop}:",
                              f"            return {stop}", "        w = r"]
@@ -316,17 +336,7 @@ class SetDescription:
         return out
 
     def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Leaf):
-                out.append(node)
-            else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
-        return out
+        return _tree_leaves(self.root, (Intersection, Union))
 
     def intersect(self, other: "SetDescription", name: str = "") -> "SetDescription":
         return SetDescription(self.n, Intersection((self.root, other.root)), name)
@@ -336,18 +346,24 @@ class SetDescription:
 
     def flat_intersection_leaves(self) -> list[Leaf] | None:
         """Leaves when the tree is a pure intersection (no unions), else None."""
+        return _tree_leaves(self.root, Intersection)
 
-        out: list[Leaf] = []
 
-        def walk(node: Node) -> bool:
-            if isinstance(node, Leaf):
-                out.append(node)
-                return True
-            if isinstance(node, Intersection):
-                return all(walk(child) for child in node.children)
-            return False
-
-        return out if walk(self.root) else None
+def _tree_leaves(root: Node, inner) -> list[Leaf] | None:
+    """The leaves in tree order, or None when the tree has an inner node
+    that is not of the type(s) `inner`. An explicit stack, not a recursive
+    closure, so that a call leaves no reference cycle behind."""
+    out: list[Leaf] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append(node)
+        elif isinstance(node, inner):
+            stack.extend(reversed(node.children))
+        else:
+            return None
+    return out
 
 
 def _constant_value(leaf: Leaf) -> float | None:

@@ -3,6 +3,7 @@ counterexample search for invariance and contractivity."""
 
 from __future__ import annotations
 
+import functools
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -130,15 +131,19 @@ def default_policy_pool() -> tuple[SelectionPolicy, ...]:
 # Integration
 
 
-def _rk4(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+@functools.lru_cache(maxsize=None)
+def _grid_candidates(k: int, d: int) -> tuple[np.ndarray, ...]:
+    """The d^k grid points of [0,1]^k in meshgrid ("ij") order, built once
+    per (k, d) and read-only, as every step shares them."""
+    axes = np.linspace(0.0, 1.0, d)
+    mesh = np.meshgrid(*([axes] * k), indexing="ij")
+    cands = tuple(np.array(v) for v in zip(*(m.ravel() for m in mesh)))
+    for lam in cands:
+        lam.setflags(write=False)
+    return cands
 
 
-def _lambda_candidates(k: int, rule: Rule, rng: np.random.Generator) -> list[np.ndarray]:
+def _lambda_candidates(k: int, rule: Rule, rng: np.random.Generator) -> Sequence[np.ndarray]:
     if k == 0:
         return [np.zeros(0)]
     if isinstance(rule, Constant):
@@ -146,38 +151,41 @@ def _lambda_candidates(k: int, rule: Rule, rng: np.random.Generator) -> list[np.
         return [lam]
     if isinstance(rule, PerStepRandom):
         return [rng.uniform(size=k)]
-    axes = np.linspace(0.0, 1.0, rule.d)
-    mesh = np.meshgrid(*([axes] * k), indexing="ij")
-    return [np.array(v) for v in zip(*(m.ravel() for m in mesh))]
+    return _grid_candidates(k, rule.d)
 
 
 def _select_lambda(k: int, rule: Rule, rng: np.random.Generator,
-                   score: Callable[[np.ndarray], float] | None) -> np.ndarray:
-    """The rule's parameter; among several candidates, the one whose finite
-    `score` (max_i B_i after the step) is largest."""
+                   trial: Callable[[np.ndarray], np.ndarray],
+                   rank: Callable[[np.ndarray], float] | None
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rule's parameter; among several candidates, the one whose trial
+    state trial(lam) has the largest finite rank (max_i B_i). Returns the
+    parameter with its trial state, or with None when no trial was ranked
+    finite (a single candidate, no rank, or every trial failed)."""
     cands = _lambda_candidates(k, rule, rng)
-    if len(cands) == 1 or score is None:
-        return cands[0]
-    best, best_val = cands[0], -np.inf
+    if len(cands) == 1 or rank is None:
+        return cands[0], None
+    best, best_y, best_val = cands[0], None, -np.inf
     for lam in cands:
         try:
-            val = score(lam)
+            y = trial(lam)
+            val = rank(y)
         except (EvaluationError, FloatingPointError):
             continue
         if np.isfinite(val) and val > best_val:
-            best, best_val = lam, val
-    return best
+            best, best_y, best_val = lam, y, val
+    return best, best_y
 
 
-def _bisect(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float,
+def _bisect(step: Callable[[float], np.ndarray], x: np.ndarray, h: float,
             x_h: np.ndarray, crossed: Callable[[np.ndarray], bool],
             refine_tol: float) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """Bracket a guard crossing of the flow from x, where x_h (at time h) has
+    """Bracket a guard crossing of the flow from x, where x_h = step(h) has
     crossed: (lo, x_lo, hi, x_hi) with x_lo not crossed and x_hi crossed."""
     lo, x_lo, hi, x_hi = 0.0, x, h, x_h
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        x_mid = _rk4(f, x, mid)
+        x_mid = step(mid)
         if crossed(x_mid):
             hi, x_hi = mid, x_mid
         else:
@@ -193,11 +201,13 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
           stop_when: Callable[[np.ndarray], bool] | None = None) -> HybridArc:
     """Compute a hybrid solution candidate.
 
-    Flow segments use a classical 4-stage one-step method with fixed step on
-    the policy-selected f(., lam); guard events (leaving C, entering D under a
-    jump-preferring policy) are located by bisection to _REFINE_TOL. The arc
-    ends at the first recorded state (x0 included) that satisfies
-    `stop_when`, flagged "stopped-by-predicate".
+    Flow segments use a classical 4-stage one-step method (H.F.step) with
+    fixed step on the policy-selected f(., lam); when the policy ranked
+    candidate parameters, the winner's trial step or jump is the one taken.
+    Guard events (leaving C, entering D under a jump-preferring policy) are
+    located by bisection to _REFINE_TOL. The arc ends at the first recorded
+    state (x0 included) that satisfies `stop_when`, flagged
+    "stopped-by-predicate".
     """
     x0 = np.asarray(x0, dtype=float)
     if (H.C.closure().classify(x0, _S0_TOL) == geo.Membership.OUTSIDE
@@ -206,9 +216,7 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
     seed_key = seed if isinstance(seed, tuple) else (seed,)
     rng = np.random.default_rng((*(int(s) for s in seed_key), zlib.crc32(b"solve")))
 
-    def score(step: Callable[[np.ndarray], np.ndarray]):
-        """max_i B_i after `step(lam)`, or None without a barrier to rank by."""
-        return None if kc is None else (lambda lam: kc.barrier.bar_value(step(lam)))
+    rank = None if kc is None else kc.barrier.bar_value  # of a trial step's state
 
     def outside_c(y: np.ndarray) -> bool:
         return H.C.classify(y, _FLOW_TOL) == geo.Membership.OUTSIDE
@@ -260,10 +268,10 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
                 cause = HORIZON_REACHED
                 flags.append("jump-budget")
                 break
-            lam = _select_lambda(H.G.k, policy.jump, rng,
-                                 score(lambda l: H.G(x, l)))
+            lam, g = _select_lambda(H.G.k, policy.jump, rng, lambda l: H.G(x, l), rank)
             try:
-                g = H.G(x, lam)
+                if g is None:
+                    g = H.G(x, lam)
             except EvaluationError:
                 cause = NUMERICAL_FAILURE
                 break
@@ -285,11 +293,12 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
             # flow attempt: the full step, the part before a guard, or a
             # feasible direction from the boundary of C
             h = min(horizon.step, horizon.T - t)
-            lam = _select_lambda(H.F.k, policy.flow, rng,
-                                 score(lambda l: _rk4(lambda y: H.F(y, l), x, h)))
-            f = lambda y, _l=lam: H.F(y, _l)
+            lam, x_full = _select_lambda(H.F.k, policy.flow, rng,
+                                         lambda l: H.F.step(x, l, h), rank)
+            flow = lambda tau: H.F.step(x, lam, tau)  # noqa: E731
             try:
-                x_full = _rk4(f, x, h)
+                if x_full is None:
+                    x_full = flow(h)
             except EvaluationError:
                 cause = NUMERICAL_FAILURE
                 break
@@ -299,7 +308,7 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
 
             step: tuple[float, np.ndarray] | None = (h, x_full)
             if outside_c(x_full):
-                lo, x_lo, _, _ = _bisect(f, x, h, x_full, outside_c, _REFINE_TOL)
+                lo, x_lo, _, _ = _bisect(flow, x, h, x_full, outside_c, _REFINE_TOL)
                 # progress below the membership-tolerance slack is numerical noise,
                 # not flow; treat the state as blocked instead of recording it
                 if lo > max(4e-6 * h, 1e-12):
@@ -314,7 +323,7 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
                         flags.append("dies-sampled")
                         break
             elif policy.overlap.kind == "jump" and not in_d and in_d_at(x_full):
-                _, _, hi, x_hi = _bisect(f, x, h, x_full, in_d_at, _REFINE_TOL)
+                _, _, hi, x_hi = _bisect(flow, x, h, x_full, in_d_at, _REFINE_TOL)
                 if hi > 1e-14:
                     step = (hi, x_hi)
             tau, x_new = step
@@ -338,10 +347,9 @@ def _attempt_feasible_flow(H: HybridSystem, x: np.ndarray, h: float,
     if not kept:
         return None
     for lam in _lambda_candidates(H.F.k, AdversarialGrid(5), rng):
-        f = lambda y, _l=lam: H.F(y, _l)
         for shrink in (1.0, 0.25, 0.0625):
             try:
-                x_try = _rk4(f, x, h * shrink)
+                x_try = H.F.step(x, lam, h * shrink)
             except EvaluationError:
                 continue
             if (np.all(np.isfinite(x_try))

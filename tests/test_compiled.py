@@ -2,6 +2,8 @@
 map vectors, set classifiers and SLSQP term constraints, each against the
 tree walk it replaced."""
 
+import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from scipy.optimize import minimize
 from hibarrier import expr as ex
 from hibarrier import fields as fl
 from hibarrier import geometry as geo
+from hibarrier.catalog import EXAMPLE_IDS, example_bundle
 from hibarrier.config import system_from_dict
 
 # ---------------------------------------------------------------------------
@@ -204,6 +207,53 @@ def test_config_fields_and_maps_match_per_component_evaluation():
                 assert same(float(g), walk(ex.parse(t, 2, 1, {"g": 2.0}), x, lam))
 
 
+def numpy_step(F, x, lam, h):
+    """The numpy RK4 step over F's component function that compile_step
+    replaced: the fallback of a map without a generated step."""
+    return dataclasses.replace(F, rk4=None).step(x, lam, h)
+
+
+def same_vector(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and all(
+        same(float(u), float(w)) for u, w in zip(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(asts, min_size=3, max_size=3), points, params, floats)
+def test_compiled_step_matches_numpy_rk4(components, x, p, h):
+    F = fl.SetValuedMap(3, 2, ex.compile_vector(components),
+                        rk4=ex.compile_step(components))
+    x, p = np.array(x), np.array(p)
+    with np.errstate(all="ignore"):  # numpy warns where the floats overflow quietly
+        assert same_vector(F.step(x, p, h), numpy_step(F, x, p, h))
+
+
+@pytest.mark.parametrize("name", EXAMPLE_IDS)
+def test_catalog_flow_steps_match_numpy_rk4(name):
+    b = example_bundle(name)
+    F = b.system.F
+    rng = np.random.default_rng(7)
+    lo, hi = b.box[:, 0], b.box[:, 1]
+    for _ in range(300):
+        x = rng.uniform(lo - 1.0, hi + 1.0)
+        lam = rng.uniform(size=F.k)
+        h = float(rng.choice([1e-4, 1e-3, 5e-3, 0.1])) * rng.uniform(0.0, 1.0)
+        with np.errstate(all="ignore"):
+            assert same_vector(F.step(x, lam, h), numpy_step(F, x, lam, h)), (x, lam, h)
+
+
+def test_flow_step_compiles_on_first_use(monkeypatch):
+    built = []
+    real = ex.compile_step
+    monkeypatch.setattr(ex, "compile_step", lambda asts: built.append(asts) or real(asts))
+    F = system_from_dict(_doc()).system.F
+    assert built == []
+    x, lam = np.array([0.5, 1.0]), np.array([0.25])
+    assert same_vector(F.step(x, lam, 1e-3), numpy_step(F, x, lam, 1e-3))
+    F.step(x, lam, 1e-3)
+    assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # set classification
 
@@ -341,6 +391,41 @@ def test_classify_many_matches_classify_on_compiled_leaves(spec, x_rows, tol, st
     _classify_rows_matches(C, _rows(x_rows), tol, strict_tol)
 
 
+@settings(max_examples=300, deadline=None)
+@given(expr_trees, st.lists(st.lists(st.sampled_from(_COORDS + [2.0, -2.0, 0.25]),
+                                     min_size=3, max_size=3), min_size=1, max_size=8),
+       st.sampled_from(_TOLS), st.sampled_from([None] + _TOLS))
+def test_inlined_classifier_matches_row_target(spec, x_rows, tol, strict_tol):
+    doc = {**_doc(), "dim": 3, "params": 0, "C": _expr_tree(spec),
+           "F": ["x2", "x1", "x3"], "G": ["x1", "x2", "x3"], "barrier": ["x1"],
+           "box": [[-2, 2]] * 3}
+    C = system_from_dict(doc).system.C
+    assert all(leaf.constraint.ast is not None for leaf in C.leaves())
+    st_eff = tol if strict_tol is None else strict_tol
+    X = _rows(x_rows)
+    with np.errstate(all="ignore"):
+        ranks, fine = C._row_classifier(X, tol, st_eff)
+    for x, r, ok in zip(X, ranks, fine):
+        got = _outcome(lambda: C.classify(x, tol, strict_tol))
+        # a non-finite reached leaf raises value_checked's own error
+        assert got == _outcome(lambda: classify_node(C.root, x, tol, st_eff))
+        assert got == (geo._MEMBERSHIP[r] if ok else got)
+        assert ok or isinstance(got, str)
+
+
+def test_config_leaves_skip_value_checked_unless_non_finite(monkeypatch):
+    calls = []
+    real = fl.ScalarField.value_checked
+    monkeypatch.setattr(fl.ScalarField, "value_checked",
+                        lambda self, x: calls.append(self.name) or real(self, x))
+    C = system_from_dict(_doc(C={"all": ["x1 - 1", "log(x2) - 5", "x1 + x2"]})).system.C
+    assert C.classify([-0.5, 0.2], 0.0) == geo.Membership.INSIDE
+    assert calls == []
+    with pytest.raises(fl.EvaluationError, match=r"log\(x2\) - 5.*x=\[0.0, -1.0\]"):
+        C.classify([0.0, -1.0], 0.0)
+    assert calls == ["log(x2) - 5"]
+
+
 def test_classify_many_marks_only_reached_leaves():
     b = system_from_dict(_doc(C={"all": ["x1 - 1", "log(x2) - 5", "x1 + x2"]}))
     C = b.system.C
@@ -375,6 +460,25 @@ def test_closure_and_classifier_are_built_once():
     first = D._classifier
     D.classify([0.0, 1.0], 1e-3)
     assert D._classifier is first
+
+
+def test_leaf_walks_leave_no_reference_cycles():
+    b = system_from_dict(_doc(C={"all": ["x1 - 1", {"any": ["x2", "x1 + x2"]}]},
+                              D={"all": ["x1", {"all": ["x2", "-x1"]}]}))
+    sets = (b.system.C, b.system.D)
+    gc.collect()
+    gc.disable()
+    try:
+        for S in sets:
+            S.leaves()
+            S.flat_intersection_leaves()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert [leaf.constraint.name for leaf in sets[0].leaves()] == ["x1 - 1", "x2", "x1 + x2"]
+    assert sets[0].flat_intersection_leaves() is None
+    assert [leaf.constraint.name for leaf in sets[1].flat_intersection_leaves()] == \
+        ["x1", "x2", "-x1"]
 
 
 # ---------------------------------------------------------------------------

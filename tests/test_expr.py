@@ -52,6 +52,15 @@ def test_unknown_identifier_diagnostic():
     assert "bogus" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["\u00b2", "\u0663", "x1 + \u0663", "x\u0663", "1e\u00b2"])
+def test_non_ascii_digits_are_unexpected_characters(text):
+    # str.isdigit accepts them: float() rejects '²' and reads the
+    # Arabic-Indic '٣' as 3
+    with pytest.raises(ex.ExprError) as err:
+        ex.parse(text, 2)
+    assert "unexpected character" in str(err.value)
+
+
 def test_out_of_range_variable():
     with pytest.raises(ex.ExprError):
         ex.parse("x3", 2)

@@ -167,6 +167,15 @@ _THERMOSTAT_GUARD_START = 0.5 / (1 - _H + _H ** 2 / 2 - _H ** 3 / 6 + _H ** 4 / 
     # no progress at the boundary of C: the feasible-flow search, then death
     ("expcount-fixed", [-0.5, 0.0], sim.SelectionPolicy(), sim.Horizon(2.0, 2, _H), 0,
      "f5fda48c6df29f953e81a9e4d306835014237a501cd35fa5b29151cc996fb9c2"),
+    # AdversarialGrid(5) scoring: a scored jump out of D, then scored flow in C
+    ("exp1", [0.5, -0.3], sim.default_policy_pool()[0], sim.Horizon(1.0, 4, 2e-3), 3,
+     "65e297d07ead18a6f8b021730a67a5507b9fb4e050e9569dceeee2eaae01d6d0"),
+    # scored jumps until the jump budget runs out
+    ("exp1", [0.5, -0.3], sim.default_policy_pool()[1], sim.Horizon(1.0, 4, 2e-3), 3,
+     "e1b009483f08db01d5b5b85998d7edf5339fe7196e2e3ccf57e75c9887d5d990"),
+    # scored flow only
+    ("exp1", [0.9, 0.05], sim.default_policy_pool()[1], sim.Horizon(1.0, 4, 2e-3), 3,
+     "254d2b7a7db6b19b861b38562a217a2028a0babbedaafa388c0167e943e9a08b"),
 ])
 def test_arc_digests(name, x0, policy, horizon, seed, digest):
     # recorded before the event paths of solve were folded into one
