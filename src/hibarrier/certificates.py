@@ -429,9 +429,12 @@ def check_thm_external(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) -
     col.flag("distance-approximate")
     for x in regions.outside_band(kc, H, box, cfg.samples, cfg.radius, cfg.band,
                                   seed=cfg.seed):
+        base = None  # x's projection onto K, shared by its etas
         for eta in _filtered_images(H, x, cfg, col):
             try:
-                rate = geo.external_min_ratio(kc.K, x, eta, seed=cfg.seed)
+                if base is None:
+                    base = geo.project(kc.K, x, starts=8, seed=cfg.seed)
+                rate = geo.external_min_ratio(kc.K, x, eta, seed=cfg.seed, base=base)
             except geo.NonConvergence:
                 col.mark_inconclusive(f"external-cone distance solve failed at {x.tolist()}")
                 continue

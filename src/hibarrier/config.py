@@ -53,11 +53,13 @@ def _field_from_expr(text: str, n: int, constants: dict, where: str,
     value = ex.compile_ast(ast)
     partials = [ex.differentiate(ast, i) for i in range(n)]
     smooth = not any(isinstance(d, ex.NonSmoothMarker) for d in partials)
-    # second partials, row by row; a smooth field's are smooth too
-    second = [ex.differentiate(d, j) for d in partials for j in range(n)] if smooth else []
+    # second partials, row by row; where abs, min, max or sgn make the field
+    # non-smooth, those of its pieces, which hold away from the kinks
+    pieces = partials if smooth else [ex.differentiate(ast, i, piecewise=True) for i in range(n)]
+    second = [ex.differentiate(d, j, piecewise=True) for d in pieces for j in range(n)]
     affine = smooth and all(s == ex.Lit(0.0) for s in second)
     hess = None
-    if smooth and not affine:
+    if not all(s == ex.Lit(0.0) for s in second):
         flat = ex.compile_vector(second)
         hess = lambda x: flat(x).reshape(n, n)  # noqa: E731
     # the row targets are compiled on their first use, so a run that never

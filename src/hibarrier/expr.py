@@ -679,20 +679,29 @@ def _pow(a: Ast, c: float) -> Ast:
     return Bin("^", a, Lit(c))
 
 
-def differentiate(ast: Ast, var_index: int) -> Ast | NonSmoothMarker:
-    """d(ast)/d x_{var_index}; NONSMOOTH if abs/min/max/sgn sit on the path."""
+def differentiate(ast: Ast, var_index: int,
+                  piecewise: bool = False) -> Ast | NonSmoothMarker:
+    """d(ast)/d x_{var_index}; NONSMOOTH if abs/min/max/sgn sit on the path.
+
+    With `piecewise`, they differentiate as they do away from their kinks:
+    abs(u)' = sgn(u) u', sgn' = 0, and max(a, b)' = a' + (b' - a') s with
+    s = (1 + sgn(b - a))/2, which is b' where b > a and a' where a > b;
+    min(a, b) takes 1 - s."""
     if isinstance(ast, (Lit, Const, Param)):
         return Lit(0.0)
     if isinstance(ast, Var):
         return Lit(1.0 if ast.index == var_index else 0.0)
     if isinstance(ast, Un):
         if ast.op in ("abs", "sgn"):
-            if depends_on(ast.arg, var_index):
+            if not depends_on(ast.arg, var_index) or (piecewise and ast.op == "sgn"):
+                return Lit(0.0)
+            if not piecewise:
                 return NONSMOOTH
-            return Lit(0.0)
-        da = differentiate(ast.arg, var_index)
+        da = differentiate(ast.arg, var_index, piecewise)
         if isinstance(da, NonSmoothMarker):
             return NONSMOOTH
+        if ast.op == "abs":
+            return _mul(Un("sgn", ast.arg), da)
         if ast.op == "neg":
             return Lit(0.0) if _is_zero(da) else Un("neg", da)
         if ast.op == "sqrt":
@@ -708,13 +717,18 @@ def differentiate(ast: Ast, var_index: int) -> Ast | NonSmoothMarker:
         raise ValueError(f"unknown unary op {ast.op!r}")
     if isinstance(ast, Bin):
         if ast.op in ("min", "max"):
-            if depends_on(ast, var_index):
+            if not depends_on(ast, var_index):
+                return Lit(0.0)
+            if not piecewise:
                 return NONSMOOTH
-            return Lit(0.0)
-        da = differentiate(ast.left, var_index)
-        db = differentiate(ast.right, var_index)
+        da = differentiate(ast.left, var_index, piecewise)
+        db = differentiate(ast.right, var_index, piecewise)
         if isinstance(da, NonSmoothMarker) or isinstance(db, NonSmoothMarker):
             return NONSMOOTH
+        if ast.op in ("min", "max"):
+            side = Un("sgn", _sub(ast.right, ast.left))
+            s = _mul(Lit(0.5), _add(Lit(1.0), side if ast.op == "max" else Un("neg", side)))
+            return _add(da, _mul(_sub(db, da), s))
         if ast.op == "+":
             return _add(da, db)
         if ast.op == "-":

@@ -70,7 +70,6 @@ CONE_TOL = 1e-3  # a cone ratio at most CONE_TOL counts as membership
 CONE_H = tuple(h for h in (1e-2 * 0.5 ** i for i in range(20)) if h >= 1e-6)
 _FEAS_TOL = 1e-9       # projection and restoration: max_j c_j(y) <= _FEAS_TOL
 _NEWTON_MAXITER = 40   # Lagrange-Newton iterations per projection start
-_PROJECT_MAXITER = 80  # SLSQP iterations per projection start that falls back
 # Blocks of fewer rows are classified and restored one row at a time, where
 # numpy's fixed cost per call outweighs the rows: on expcount's K, 64 rows
 # took 131 us in classify_many and 96 us in classify calls, 128 rows 134 us
@@ -403,30 +402,6 @@ def _newton_feasibility(leaves: Sequence[Leaf], y: np.ndarray, iters: int = 25,
     return y
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call. SLSQP runs only
-    for a projection start that Lagrange-Newton does not converge from, so a
-    run that never falls back never loads scipy."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
-
-
-def term_constraint(leaves: Sequence[Leaf]) -> dict:
-    """One SLSQP inequality constraint for an intersection of leaves: the
-    vector of -c_j(y) (>= 0 inside) and its Jacobian, rows in leaf order."""
-    fields = [leaf.constraint for leaf in leaves]
-
-    def fun(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        return -np.array([c.value_checked(y) for c in fields])
-
-    def jac(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y)
-        return -np.array([gradient(c, y) for c in fields])
-
-    return {"type": "ineq", "fun": fun, "jac": jac}
-
-
 def _lstsq(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The least-squares, least-norm x with M x = v, for an M whose rows or
     columns are unit vectors and linearly independent: a dot product for
@@ -510,17 +485,21 @@ def _violation(fields: list[ScalarField], y: np.ndarray) -> float:
         return np.inf
 
 
-def _leaf_models(f: ScalarField, y: np.ndarray, value: float) -> list[list[np.ndarray]]:
+def _leaf_models(f: ScalarField, y: np.ndarray, value: float
+                 ) -> list[list[tuple[np.ndarray, float]]]:
     """Linear models of a leaf at y for a Newton step: alternatives, each a
-    list of gradient rows that must all hold. A leaf with an analytic
-    gradient has one row. Without one, the row is gradient()'s central
-    difference, unless the one-sided differences disagree along exactly one
-    coordinate: a kink of abs, max or min then lies within the step, and the
-    central difference would average its sides, which can hold the iterate
-    on the kink. A convex kink (a max) needs both one-sided rows; a concave
-    one (a min) holds on either side, so each side is an alternative."""
+    list of rows (g, c) that must all hold as c + g u <= 0. A leaf with an
+    analytic gradient has one row, (gradient, value). Without one, the row is
+    gradient()'s central difference, unless the one-sided differences
+    disagree along exactly one coordinate: a kink of abs, max or min then
+    lies within the step h, and the central difference would average its
+    sides, which can hold the iterate on the kink. Each side is then the
+    line through the two points beyond the kink, at h and 2h, extended to y,
+    which models the side exactly however close the kink lies. A convex
+    kink (a max) needs both sides' rows; a concave one (a min) holds on
+    either side, so each side is an alternative."""
     if f.grad is not None:
-        return [[gradient(f, y)]]
+        return [[(gradient(f, y), value)]]
     h = fd_step(y)
     g = np.empty(f.n)
     kinks = []
@@ -531,87 +510,132 @@ def _leaf_models(f: ScalarField, y: np.ndarray, value: float) -> list[list[np.nd
         g[i] = (up - down) / (2.0 * h)
         forward, backward = (up - value) / h, (value - down) / h
         if abs(forward - backward) > 1e-3 * (1.0 + abs(forward) + abs(backward)):
-            kinks.append((i, forward, backward))
+            kinks.append((i, e, up, down))
     if not np.all(np.isfinite(g)):
         raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", y)
     if len(kinks) != 1:
-        return [[g]]
-    (i, forward, backward), = kinks
-    sides = [g.copy(), g.copy()]
-    sides[0][i], sides[1][i] = forward, backward
-    return [sides] if forward > backward else [[sides[0]], [sides[1]]]
+        return [[(g, value)]]
+    (i, e, up, down), = kinks
+    far_up, far_down = f.fn(y + 2.0 * e), f.fn(y - 2.0 * e)
+    if not np.isfinite(far_up) or not np.isfinite(far_down):
+        raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", y)
+    right, left = g.copy(), g.copy()
+    right[i], left[i] = (far_up - up) / h, (down - far_down) / h
+    sides = [(right, 2.0 * up - far_up), (left, 2.0 * down - far_down)]
+    return [sides] if right[i] > left[i] else [[side] for side in sides]
 
 
-def _curvature_factor(fields: list[ScalarField], lam: np.ndarray,
-                      y: np.ndarray) -> np.ndarray | None:
+def _curvature_factor(fields: list[ScalarField], lam: np.ndarray, y: np.ndarray,
+                      models: list) -> np.ndarray | None:
     """The Cholesky factor L of the Lagrangian's Hessian I + sum_j lam_j H_j
     at y, over the leaves with exact second partials; None when no such
-    leaf has a positive multiplier, or when the Hessian is not safely
-    positive definite, so that the step is a Gauss-Newton step."""
+    leaf has a positive multiplier, so that the step is a Gauss-Newton step.
+    Where that Hessian is not safely positive definite, rho G^T G is added,
+    G the unit model rows of the leaves with positive multipliers, for the
+    least rho in 1, 10, ..., 1e6 that makes it so (None past that): on
+    steps that keep those rows active it adds a constant to the QP, so the
+    step is still Newton's wherever the Hessian is positive definite on the
+    rows' null space, as at a strict local projection (the augmented
+    Lagrangian's Hessian; Nocedal & Wright, sec. 17.3)."""
     terms = [lj * f.hess(y) for f, lj in zip(fields, lam) if lj > 0.0 and f.hess is not None]
     if not terms:
         return None
     H = np.eye(len(y)) + sum(terms)
     if not np.all(np.isfinite(H)):
         return None
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return None
-    return L if float(np.min(np.diag(L))) >= 1e-3 else None
+    GG = None
+    for rho in (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+        if rho and GG is None:
+            G = np.array([g for m, lj in zip(models, lam) if lj > 0.0 for g, _ in m[0]])
+            norms = np.sqrt(np.einsum("ij,ij->i", G, G))
+            G = G[norms > 0.0] / norms[norms > 0.0, None]
+            GG = G.T @ G
+        try:
+            L = np.linalg.cholesky(H + rho * GG if rho else H)
+        except np.linalg.LinAlgError:
+            continue
+        if float(np.min(np.diag(L))) >= 1e-3:
+            return L
+    return None
 
 
-def _kink_qp(models: list[list[list[np.ndarray]]], c: np.ndarray, w: np.ndarray,
+def _kink_qp(models: list[list[list[tuple[np.ndarray, float]]]], w: np.ndarray,
              L: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
-    """(u, lam): the step of one Newton iteration and the leaves'
+    """(d, lam): the step of one Newton iteration and the leaves'
     multipliers, or None when the linearization is inconsistent. The QP
-    min 0.5 |u - L^-1 w|^2 over {u : G L^-T u <= -c} is solved for each
+    min 0.5 |u - L^-1 w|^2 over {u : c + G L^-T u <= 0} is solved for each
     choice of the leaves' alternative models, and the closest solution
-    kept; L = None stands for the identity (a Gauss-Newton step)."""
+    kept, as the step d = L^-T u; L = None stands for the identity (a
+    Gauss-Newton step). A leaf with no model rows adds nothing."""
     best = None
     centre = w if L is None else np.linalg.solve(L, w)
     for choice in itertools.product(*models):
         owner = [j for j, rows in enumerate(choice) for _ in rows]
-        G = np.array([row for rows in choice for row in rows])
-        got = _qp_project(G if L is None else np.linalg.solve(L, G.T).T, -c[owner], centre)
+        if not owner:
+            got = (centre, np.zeros(0))
+        else:
+            G = np.array([g for rows in choice for g, _ in rows])
+            c = np.array([cj for rows in choice for _, cj in rows])
+            got = _qp_project(G if L is None else np.linalg.solve(L, G.T).T, -c, centre)
         if got is not None:
             gap = float((got[0] - centre) @ (got[0] - centre))
             if best is None or gap < best[0]:
-                best = (gap, got[0], np.bincount(owner, got[1], minlength=len(c)))
-    return None if best is None else best[1:]
+                best = (gap, got[0], np.bincount(owner, got[1], minlength=len(models)))
+    if best is None:
+        return None
+    return (best[1] if L is None else np.linalg.solve(L.T, best[1])), best[2]
+
+
+def _held_rows_dropped(fields: list[ScalarField], models: list, c: np.ndarray,
+                       y: np.ndarray, z: np.ndarray, L: np.ndarray | None
+                       ) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_kink_qp`'s step where the full linearization is inconsistent: a
+    leaf that holds at y keeps its rows only once the step would violate the
+    leaf itself. A concave leaf's linearization is stricter than the leaf,
+    so one that holds everywhere, such as the closure of a strict leaf
+    -|x - a|^2 < 0, can make the QP inconsistent where the term is not."""
+    keep = c > 0.0
+    while True:
+        got = _kink_qp([m if k else [[]] for m, k in zip(models, keep)], z - y, L)
+        if got is None:
+            return None
+        late = [j for j, f in enumerate(fields)
+                if not keep[j] and _violation([f], y + got[0]) > 0.0]
+        if not late:
+            return got
+        keep[late] = True
 
 
 def _newton_term(leaves: Sequence[Leaf], z: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
     """A KKT point of min |y - z| over the intersection of the leaves, by
     Lagrange-Newton from y0 (Nocedal & Wright, ch. 18), or None when it does
     not converge. Each step solves the QP of the leaves linearized at y
-    (`_kink_qp`) with the Lagrangian's Hessian I + sum_j lam_j H_j; its
-    active rows are the working set, and on a settled working set the step
-    is Newton's on the KKT system. Leaves without exact second partials add
-    no curvature, so their steps are Gauss-Newton steps. A backtracking
-    search on the l1 merit function accepts each step, and a step from a
-    point of the term that heads straight for z stops where it leaves the
-    term. An inconsistent linearization is met once by Newton restoration.
-    The iteration stops when the error left, predicted from the ratio of
-    successive steps, is below 1e-10 (1 + |y|). An affine term's
-    linearization is exact, so its first step is the answer, and an
-    inconsistent one proves the term empty."""
+    (`_kink_qp`) with the Lagrangian's Hessian I + sum_j lam_j H_j
+    (`_curvature_factor`); its active rows are the working set, and on a
+    settled working set the step is Newton's on the KKT system. Callable
+    leaves add no curvature, so their steps are Gauss-Newton steps. Where
+    the linearization is inconsistent, the rows of the leaves that hold at
+    y join only as the step needs them (`_held_rows_dropped`). A
+    backtracking search on the l1 merit function accepts each step, after
+    one second-order correction of a full step it rejects. The iteration
+    stops when the error left, predicted from the ratio of successive
+    steps, is below 1e-10 (1 + |y|); where it stalls, a feasible y is
+    returned (`_feasible`). An affine term's linearization is exact, so its
+    first step is the answer, and an inconsistent one proves the term empty."""
     fields = [leaf.constraint for leaf in leaves]
     affine = all(f.affine for f in fields)
     y, lam, mu = np.asarray(y0, dtype=float).copy(), np.zeros(len(fields)), 0.0
-    restored, previous = False, 0.0
+    previous = 0.0
     for _ in range(_NEWTON_MAXITER):
         c = np.array([f.value_checked(y) for f in fields])
-        L = _curvature_factor(fields, lam, y)
-        got = _kink_qp([_leaf_models(f, y, cj) for f, cj in zip(fields, c)], c, z - y, L)
+        models = [_leaf_models(f, y, cj) for f, cj in zip(fields, c)]
+        L = _curvature_factor(fields, lam, y, models)
+        got = _kink_qp(models, z - y, L)
+        if got is None and not affine:
+            got = _held_rows_dropped(fields, models, c, y, z, L)
         if got is None:
-            if affine or restored:
-                return None
-            # the linearization is inconsistent here: restore feasibility
-            # once by Newton steps on the most violated leaf, then go on
-            y, lam, restored = _newton_feasibility(leaves, y), np.zeros(len(fields)), True
-            continue
-        d = got[0] if L is None else np.linalg.solve(L.T, got[0])
+            return None
+        d = got[0]
         if affine:
             return y + d
         lam = got[1]
@@ -622,57 +646,58 @@ def _newton_term(leaves: Sequence[Leaf], z: np.ndarray, y0: np.ndarray) -> np.nd
         previous = step
         tol = 1e-10 * (1.0 + float(np.abs(y).max()))
         if step <= tol or (rate < 0.5 and step * rate / (1.0 - rate) <= tol):
-            y = y + d
-            return y if max(f.value_checked(y) for f in fields) <= _FEAS_TOL else None
-        if float(np.max(lam, initial=0.0)) > 1e6:
-            # diverging multipliers: the active gradients vanish ahead, so
-            # no regular KKT point lies there; a feasible y still bounds
-            # the distance from above
-            return y if float(np.max(c)) <= _FEAS_TOL else None
-        if float(np.max(c)) <= 0.0 and not np.any(lam > 0.0):
-            # from a point of the term the step heads straight for z, which
-            # lies outside it: stop where the segment leaves the term
-            lo, hi = 0.0, 1.0
-            for _ in range(30):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if _violation(fields, y + mid * d) == 0.0 else (lo, mid)
-            if lo > 0.0:
-                y = y + lo * d
-                continue
+            return _feasible(fields, y + d)
+        if float(np.max(lam, initial=0.0)) > 1e6:  # diverging multipliers
+            return _feasible(fields, y)
         mu = max(mu, 2.0 * float(np.max(lam, initial=0.0)))
         phi = 0.5 * float((y - z) @ (y - z)) + mu * float(np.sum(np.maximum(c, 0.0)))
         slope = float((y - z) @ d) - mu * float(np.sum(np.maximum(c, 0.0)))
-        t = 1.0
-        while True:
-            trial = y + t * d
+
+        def accepted(step: np.ndarray, t: float) -> bool:
+            trial = y + step
             viol = _violation(fields, trial)
-            if viol < np.inf and (0.5 * float((trial - z) @ (trial - z)) + mu * viol
-                                  <= phi + 1e-4 * t * min(slope, 0.0)):
-                break
-            t *= 0.5
-            if t < 1e-10:
-                return None
+            return viol < np.inf and (0.5 * float((trial - z) @ (trial - z)) + mu * viol
+                                      <= phi + 1e-4 * t * min(slope, 0.0))
+
+        t = 1.0
+        if not accepted(d, 1.0):
+            # a second-order correction (Nocedal & Wright, sec. 18.3): the QP
+            # again, each row shifted by its leaf's model error at y + d; it
+            # is kept only as a correction, shorter than half the step
+            try:
+                ahead = [f.value_checked(y + d) for f in fields]
+                soc = _kink_qp([[[(g, cj - float(g @ d)) for g, _ in alt] for alt in m]
+                                for m, cj in zip(models, ahead)], z - y, L)
+            except EvaluationError:
+                soc = None
+            if (soc is not None and 4.0 * float((soc[0] - d) @ (soc[0] - d)) <= float(d @ d)
+                    and accepted(soc[0], 1.0)):
+                d = soc[0]
+            else:
+                t = 0.5
+                while not accepted(t * d, t):
+                    t *= 0.5
+                    if t < 1e-10:
+                        return _feasible(fields, y)
         y = y + t * d
-    return None
+    return _feasible(fields, y)
 
 
-def _slsqp_start(leaves: Sequence[Leaf], z: np.ndarray, y0: np.ndarray,
-                 maxiter: int) -> np.ndarray:
-    """One SLSQP run for min |y - z|^2 over the leaves, from y0."""
-    res = minimize(lambda y: float((y - z) @ (y - z)), y0, jac=lambda y: 2.0 * (y - z),
-                   method="SLSQP", constraints=[term_constraint(leaves)],
-                   options={"maxiter": maxiter, "ftol": 1e-16})
-    return np.asarray(res.x, dtype=float)
+def _feasible(fields: list[ScalarField], y: np.ndarray) -> np.ndarray | None:
+    """y where it satisfies every leaf up to _FEAS_TOL, else None. Where the
+    iteration stops short of convergence, as where the active gradients
+    vanish or turn dependent at the answer and no regular KKT point lies
+    ahead, a feasible y still bounds the distance from above."""
+    return y if max(f.value_checked(y) for f in fields) <= _FEAS_TOL else None
 
 
-def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray],
-                 maxiter: int) -> tuple[np.ndarray, float] | None:
+def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray]
+                 ) -> tuple[np.ndarray, float] | None:
     """Closest point to z on the intersection of leaf sublevel sets, or None.
 
-    Each start runs Lagrange-Newton, and one it does not converge from runs
-    at most `maxiter` SLSQP iterations instead. A start whose leaves cannot
-    be evaluated is skipped. A term of affine leaves is convex, so it is
-    solved once, exactly, and an empty one is not handed to SLSQP."""
+    Each start runs Lagrange-Newton; a start it does not converge from, or
+    whose leaves cannot be evaluated, is skipped. A term of affine leaves is
+    convex, so it is solved once, exactly, and None proves it empty."""
     affine = all(leaf.constraint.affine for leaf in leaves)
     best: tuple[np.ndarray, float] | None = None
     stale = 0
@@ -682,7 +707,7 @@ def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray]
             if y is None:
                 if affine:
                     return None
-                y = _slsqp_start(leaves, z, y0, maxiter)
+                continue
             y = _newton_feasibility(leaves, y, 4, slack=_FEAS_TOL * 1e-3)
             vals = [leaf.constraint.value_checked(y) for leaf in leaves]
         except (EvaluationError, FloatingPointError):
@@ -732,9 +757,8 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
     term whose bound is over 4 d of the best so far. A term of affine leaves
     is an exact QP. Any other term runs Lagrange-Newton from `warm`, x, x's
     Newton restoration onto the term and seed-tagged random points, up to
-    `starts` in all, and stops once two further starts fail to improve; a
-    start that does not converge falls back to SLSQP. Raises NonConvergence
-    when no start of any term finds a feasible point."""
+    `starts` in all, and stops once two further starts fail to improve.
+    Raises NonConvergence when no start of any term finds a feasible point."""
     x = np.asarray(x, dtype=float)
     closed = S.closure()
     if closed.classify(x, 0.0) != Membership.OUTSIDE:
@@ -753,7 +777,7 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
         while len(term_starts) < max(3, starts):
             radius = scale * float(rng.uniform(0.05, 1.5))
             term_starts.append(x + radius * rng.normal(size=S.n) / np.sqrt(S.n))
-        got = project_term(leaves, x, term_starts, _PROJECT_MAXITER)
+        got = project_term(leaves, x, term_starts)
         if got is not None and (best is None or got[1] < best[1]):
             best = got
     if best is None:
@@ -797,7 +821,7 @@ def _feasible_point(S: SetDescription, x: np.ndarray) -> np.ndarray | None:
         except EvaluationError:
             continue  # restoration left the leaves' domain
     for leaves in terms[:2]:
-        got = project_term(leaves, x, _local_starts(leaves, x), 40)
+        got = project_term(leaves, x, _local_starts(leaves, x))
         if got is not None:
             return got[0]
     return None
@@ -1055,11 +1079,14 @@ def contingent_min_ratio(S: SetDescription, x: Sequence[float] | np.ndarray,
 
 
 def external_min_ratio(S: SetDescription, x: Sequence[float] | np.ndarray,
-                       v: Sequence[float] | np.ndarray, *, seed: int = 0) -> float:
+                       v: Sequence[float] | np.ndarray, *, seed: int = 0,
+                       base: tuple[np.ndarray, float] | None = None) -> float:
     """min over CONE_H of (dist(S, x+hv) - dist(S, x))/h; v is in the external
-    cone when the value is <= CONE_TOL."""
+    cone when the value is <= CONE_TOL. `base` is x's projection
+    project(S, x, starts=8, seed=seed), which a caller that tries several v
+    at one x computes once; it is computed here when not given."""
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    y0, d0 = project(S, x, starts=8, seed=seed)
+    y0, d0 = project(S, x, starts=8, seed=seed) if base is None else base
     return _min_ratio(S, x, v, seed, d0, y0)
 
 

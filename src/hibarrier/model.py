@@ -67,7 +67,14 @@ class BarrierCandidate:
         return np.array([c.fn(x) for c in self.components])
 
     def bar_value(self, x: Sequence[float] | np.ndarray) -> float:
-        return float(np.max(self.values(x)))
+        """max_i B_i(x) as np.max gives it: a nan propagates, and of equal
+        values (0.0 and -0.0) the later is kept."""
+        x = np.asarray(x, dtype=float)
+        best, *rest = [float(c.fn(x)) for c in self.components]
+        for v in rest:
+            if best == best and not v < best:
+                best = v
+        return best
 
     def scalarized(self) -> ScalarField:
         """max_i B_i; only continuous in general even when every B_i is C1."""

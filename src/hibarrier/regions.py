@@ -249,7 +249,7 @@ def _strict_leaf_targets(kc: KComplex, H: HybridSystem, box: np.ndarray,
         # {c <= 0, -c <= 0} is the zero set of c
         term = (geo.Leaf(c), geo.Leaf(negated(c)), *kc.K_e.leaves())
         for y0 in starts[:8]:
-            got = geo.project_term(term, y0, [y0], 60)
+            got = geo.project_term(term, y0, [y0])
             if got is not None and abs(float(c.value_checked(got[0]))) <= 1e-8 \
                     and geo.in_box(got[0], box):
                 out.append(got[0])

@@ -4,6 +4,7 @@ counterexample search for invariance and contractivity."""
 from __future__ import annotations
 
 import functools
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -275,7 +276,7 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
             except EvaluationError:
                 cause = NUMERICAL_FAILURE
                 break
-            if not np.all(np.isfinite(g)):
+            if not all(map(math.isfinite, g.tolist())):
                 cause = NUMERICAL_FAILURE
                 break
             if not flowed_since_jump:
@@ -302,7 +303,7 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
             except EvaluationError:
                 cause = NUMERICAL_FAILURE
                 break
-            if not np.all(np.isfinite(x_full)):
+            if not all(map(math.isfinite, x_full.tolist())):
                 cause = NUMERICAL_FAILURE
                 break
 
@@ -352,7 +353,7 @@ def _attempt_feasible_flow(H: HybridSystem, x: np.ndarray, h: float,
                 x_try = H.F.step(x, lam, h * shrink)
             except EvaluationError:
                 continue
-            if (np.all(np.isfinite(x_try))
+            if (all(map(math.isfinite, x_try.tolist()))
                     and H.C.classify(x_try, _FLOW_TOL) != geo.Membership.OUTSIDE):
                 return h * shrink, x_try
     return None

@@ -1,6 +1,6 @@
 """Differential tests for the generated evaluators: expressions, gradient and
-map vectors, set classifiers and SLSQP term constraints, each against the
-tree walk it replaced."""
+map vectors, set classifiers and the SLSQP reference's term constraints, each
+against the tree walk it replaced."""
 
 import dataclasses
 import gc
@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import minimize
 
 from hibarrier import expr as ex
 from hibarrier import fields as fl
@@ -482,7 +481,7 @@ def test_leaf_walks_leave_no_reference_cycles():
 
 
 # ---------------------------------------------------------------------------
-# SLSQP: one vector constraint per DNF term
+# The SLSQP reference's one vector constraint per DNF term
 
 
 def _per_leaf_constraints(leaves):
@@ -493,6 +492,9 @@ def _per_leaf_constraints(leaves):
 
 
 def test_term_constraint_gives_the_same_slsqp_iterates():
+    from scipy.optimize import minimize
+    from test_geometry import term_constraint
+
     b = system_from_dict(_doc(C={"all": ["x1^2 + x2^2 - 1", "x1 - x2^2",
                                          "0.2 - x1 - x2"]}))
     (leaves,) = b.system.C.dnf()
@@ -501,7 +503,7 @@ def test_term_constraint_gives_the_same_slsqp_iterates():
         z = rng.uniform(-2.0, 2.0, size=2)
         y0 = rng.uniform(-2.0, 2.0, size=2)
         runs = []
-        for cons in (_per_leaf_constraints(leaves), [geo.term_constraint(leaves)]):
+        for cons in (_per_leaf_constraints(leaves), [term_constraint(leaves)]):
             runs.append(minimize(lambda y: float((y - z) @ (y - z)), y0,
                                  jac=lambda y: 2.0 * (y - z), method="SLSQP",
                                  constraints=cons,
@@ -521,8 +523,9 @@ def test_term_constraint_gives_the_same_slsqp_iterates():
     ("x1*x2 - sqrt(2)", False, True),
     ("x2*(x1^2 + x2^2 - 1)", False, True),
     ("exp(x1) - log(x2)", False, True),
-    ("x1^2 - abs(x2)", False, False),
-    ("x2 + (2/3)*max(x1, 0)^3", False, False),
+    ("x1^2 - abs(x2)", False, True),
+    ("x2 + (2/3)*max(x1, 0)^3", False, True),
+    ("abs(x2) - 1", False, False),
 ])
 def test_config_marks_affine_leaves_and_compiles_second_partials(text, affine, curved):
     from hibarrier.config import _field_from_expr
@@ -530,7 +533,15 @@ def test_config_marks_affine_leaves_and_compiles_second_partials(text, affine, c
     f = _field_from_expr(text, 2, {}, "test")
     assert f.affine is affine
     assert (f.hess is not None) is curved
-    if curved:
+    if curved and f.grad is None:
+        # abs, min and max: the second partials of the piece at x, the
+        # central second differences of the field away from its kinks
+        for x in (np.array([0.7, 1.3]), np.array([-0.4, -0.2])):
+            h = 1e-4
+            fd = np.array([[(f(x + a + b) - f(x + a - b) - f(x - a + b) + f(x - a - b)) / (4 * h * h)
+                            for b in np.eye(2) * h] for a in np.eye(2) * h])
+            assert f.hess(x) == pytest.approx(fd, abs=1e-5)
+    elif curved:
         # the Hessian is the central difference of the analytic gradient
         x, h = np.array([0.7, 1.3]), 1e-6
         fd = np.array([(f.grad(x + e) - f.grad(x - e)) / (2 * h) for e in np.eye(2) * h]).T

@@ -103,6 +103,20 @@ def test_diff_max_nonsmooth():
     assert isinstance(ex.differentiate(ex.parse("max(x1, 0)", 1), 0), ex.NonSmoothMarker)
 
 
+@pytest.mark.parametrize("text,x,want", [
+    ("abs(x1)*x2", [-2.0, 3.0], -3.0),
+    ("abs(x1)*x2", [2.0, 3.0], 3.0),
+    ("max(x1^2, x2)", [3.0, 1.0], 6.0),
+    ("max(x1^2, x2)", [0.5, 1.0], 0.0),
+    ("min(x1^2, x2)", [0.5, 1.0], 1.0),
+    ("sgn(x1)*x1", [-2.0, 0.0], -1.0),
+])
+def test_diff_piecewise(text, x, want):
+    # the derivative of the piece at x, away from the kinks
+    d = ex.differentiate(ex.parse(text, 2), 0, piecewise=True)
+    assert ex.compile_ast(d)(x, ()) == want
+
+
 _CORPUS = [
     "x1", "p1", "7", "1.5e-3", "-x1", "x1 + x2", "x1 - x2", "x1*x2", "x1/x2",
     "x1^2", "x1^3", "2*g*x1 + (x2-1)*(x2+1)", "sqrt(abs(x2))", "min(x1, 0)",

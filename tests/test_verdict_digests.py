@@ -7,8 +7,8 @@ caller settings (they became module constants with unchanged values), so
 the digests hold on both sides of that change.
 
 Digests marked "re-recorded" changed when exact small solvers replaced
-SLSQP in the projections, after their whole verdicts were compared with
-the SLSQP ones: the same statuses, check names, flags, witness kinds and
+SLSQP in the projections, or when its fallback was retired, after their
+whole verdicts were compared with the earlier ones: the same statuses, check names, flags, witness kinds and
 counts, and evaluation counts; the largest difference in a number is noted
 beside each (cone ratios within CONE_TOL, everything else within 1e-7,
 except where noted).
@@ -44,13 +44,15 @@ DIGESTS = [
      # cone ratios 6.5e-7, other numbers 2.6e-15
      "a3b2a54f67604010e0e33073bb0e38720f58ff2c3189068b9e9938212253196d"),
     ("expcount-fixed", "boundary", {"option": "c"},  # inconclusive, 34 evaluations;
-     # re-recorded, 2.6e-15
-     "a6bc59acdad88861c308eab31bf05fa21f4e0013564d0db4865e43ae91247b84"),
+     # re-recorded, 2.6e-15; re-recorded without the SLSQP fallback, 3.1e-15
+     "7eaac114916d86c6311ce4e9aff8a6ffa63dc1c25aff23daa045a7cfb711ce72"),
     ("thermostat", "lipschitz", {},  # no_violation_found, 36 evaluations
      "06d4a1cd6b43be74068e5918add09409ccc0567f71807d9ea4458b72ec3af946"),
     ("expCsets", "cset", {"direction": "minkowski"},  # no_violation_found, 115 evaluations;
-     # re-recorded, 1.8e-10
-     "8917e30e9da89ab20e3f5c140c0e676b2bc42666ac8482c9363174554952725a"),
+     # re-recorded, 1.8e-10; re-recorded without the SLSQP fallback: the points
+     # K cap D samples by projection are now at its exact answer (-1, -1),
+     # where SLSQP stopped up to 6.2e-7 away
+     "515faa6bf1ff09ba7f86f6d21fda71ae9a383b4c58cd30ec9ab3dbf170e8385d"),
     ("exp1", "invariance", {"mode": "prop3"},  # no_violation_found, 9 evaluations;
      # re-recorded, 2.7e-10
      "161aa6faa8a4996ea2ce46ccf65c18921c7a78ec624ba36b4e2f74e823313af7"),
