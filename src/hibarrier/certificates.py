@@ -7,6 +7,7 @@ Inconclusive records what prevented a call either way.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, asdict
 from typing import Callable
@@ -108,14 +109,14 @@ class Verdict:
         return {
             "check": self.check,
             "status": self.status,
-            "witnesses": [asdict(w) for w in self.witnesses],
+            "witnesses": [dict(vars(w)) for w in self.witnesses],
             "samples_evaluated": self.samples_evaluated,
             "worst_margin": self.worst_margin,
             "vacuous": self.vacuous,
             "flags": self.flags,
             "notes": self.notes,
             "config": self.config,
-            "evaluations": [asdict(e) for e in self.evaluations],
+            "evaluations": [dict(vars(e)) for e in self.evaluations],
         }
 
 
@@ -175,22 +176,19 @@ class _Collector:
 
 @dataclass(frozen=True)
 class UniquenessFunction:
-    kind: str  # linear | osgood | custom
+    kind: str  # linear | osgood
     k: float = 1.0
-    custom: ScalarField | None = None
 
     def __post_init__(self):
+        if self.kind not in ("linear", "osgood"):
+            raise geo.PreconditionError(f"unknown uniqueness function {self.kind!r}")
         if self.kind == "linear" and not self.k > 0:
             raise geo.PreconditionError("linear uniqueness function needs k > 0")
-        if self.kind == "custom" and self.custom is None:
-            raise geo.PreconditionError("custom uniqueness function needs a field")
 
     def __call__(self, w: float) -> float:
         if self.kind == "linear":
             return self.k * w
-        if self.kind == "osgood":
-            return w * math.log(w) if w > 0.0 else 0.0
-        return float(self.custom.fn(np.array([w])))
+        return w * math.log(w) if w > 0.0 else 0.0
 
     def label(self) -> str:
         if self.kind == "linear":
@@ -242,8 +240,7 @@ def _jump_legs(col: _Collector, kc: KComplex, H: HybridSystem, cfg: CheckConfig,
     for x in pts:
         gs = image_samples(H.G, x, cfg.scheme)
         for g in gs:
-            val = float(np.max(kc.barrier.values(g)))
-            col.add(f"{prefix}:jump:barrier", x, val, bound_b, eta=g)
+            col.add(f"{prefix}:jump:barrier", x, kc.barrier.bar_value(g), bound_b, eta=g)
             col.add(f"{prefix}:jump:in-cud", x, float(kc.CuD.value(g)), cfg.tol_eq, eta=g)
     if interior_on_boundary:
         bpts = regions.boundary_jump_region(kc, H, box, cfg.samples, cfg.band,
@@ -280,6 +277,18 @@ def _active_components(B: BarrierCandidate, x: np.ndarray, cfg: CheckConfig) -> 
     """Indices of the barrier components that vanish at x within the band."""
     return [i for i in range(B.m)
             if abs(float(B.components[i].fn(x))) <= max(geo.EPS_ACT, cfg.band)]
+
+
+def _first_outside_midpoint(S: geo.SetDescription,
+                            pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray | None:
+    """The first midpoint 0.5 (a + b) of the pairs that lies outside S at
+    1e-9, or None: a sampled convexity test. The midpoints are classified
+    in one block; one where classify raises raises when it is reached, as
+    in a loop over the pairs."""
+    if not pairs:
+        return None
+    mids = np.array([0.5 * (a + b) for a, b in pairs])
+    return next((mids[i] for i in geo._rows_ranked(S, mids, 1e-9, (2,))), None)
 
 
 def _clear_of_box(pts: list[np.ndarray], box: np.ndarray) -> bool:
@@ -320,8 +329,6 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
     kc = build_k_complex(H, B)
     col = _Collector()
     col.note(f"uniqueness function {rho.label()}")
-    if rho.kind == "custom":
-        col.flag("custom-uniqueness-function")
     box = cfg.box_array()
 
     # (1) <grad B_i, eta> <= 0 on M_i cap C for ALL eta in F(x)
@@ -388,20 +395,12 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
                     continue
                 col.add("boundary:b:eqraj2", x, min(ratio, 1e6), geo.CONE_TOL, eta=eta)
     else:
-        convex_ok = True
         c_pts = geo.sample(H.C, box, 2 * cfg.samples, seed=cfg.seed).points[:40]
-        for ai in range(len(c_pts)):
-            for bi in range(ai + 1, len(c_pts)):
-                mid = 0.5 * (c_pts[ai] + c_pts[bi])
-                if H.C.classify(mid, 1e-9) == geo.Membership.OUTSIDE:
-                    col.mark_inconclusive(
-                        f"the set C is not convex: midpoint {mid.tolist()} of "
-                        f"sampled points is outside C")
-                    convex_ok = False
-                    break
-            if not convex_ok:
-                break
-        if convex_ok:
+        mid = _first_outside_midpoint(H.C, list(itertools.combinations(c_pts, 2)))
+        if mid is not None:
+            col.mark_inconclusive(f"the set C is not convex: midpoint {mid.tolist()} of "
+                                  f"sampled points is outside C")
+        else:
             # anchors lie only within `band` of dC, so each is checked against C too
             anchors = [x for x in regions.anchors_ke_dc(kc, H, box, cfg.samples, cfg.band,
                                                         seed=cfg.seed)
@@ -468,8 +467,6 @@ def check_relaxed(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
     kc = build_k_complex(H, B)
     col = _Collector()
     col.note(f"uniqueness function {rho.label()}")
-    if rho.kind == "custom":
-        col.flag("custom-uniqueness-function")
     box = cfg.box_array()
     if B.all_c1():
         for i in range(B.m):
@@ -713,13 +710,13 @@ def _cset_spot_checks(kc: KComplex, H: HybridSystem, cfg: CheckConfig,
     if not pts:
         col.mark_inconclusive("C-set precondition: K produced no samples")
         return False
-    rng = regions.rng_for(cfg.seed, "cset-convexity")
-    pairs = [(int(rng.integers(len(pts))), int(rng.integers(len(pts))))
+    rng = geo.rng_for(cfg.seed, "cset-convexity")
+    pairs = [(pts[int(rng.integers(len(pts)))], pts[int(rng.integers(len(pts)))])
              for _ in range(cfg.samples)]
-    mids = np.array([0.5 * (pts[a] + pts[b]) for a, b in pairs])
-    for i in geo._rows_ranked(kc.K, mids, 1e-9, (2,)):  # the first outside midpoint
+    mid = _first_outside_midpoint(kc.K, pairs)
+    if mid is not None:
         col.mark_inconclusive(f"C-set precondition fails: K not convex at "
-                              f"midpoint {mids[i].tolist()}")
+                              f"midpoint {mid.tolist()}")
         return False
     if not _clear_of_box(pts, box):
         col.note("compactness heuristic: K samples touch the bounding box")
@@ -781,7 +778,7 @@ def check_cset(H: HybridSystem, B: BarrierCandidate | None, cfg: CheckConfig,
                             -cfg.margin_strict, eta=eta)
         for x in regions.jump_region(kc, H, box, cfg.samples, seed=cfg.seed):
             for g in image_samples(H.G, x, cfg.scheme):
-                col.add("cset:barrier:jump", x, float(np.max(B.values(g))),
+                col.add("cset:barrier:jump", x, B.bar_value(g),
                         -cfg.margin_strict, eta=g)
                 col.add("cset:barrier:jump-in-cud", x, float(kc.CuD.value(g)),
                         cfg.tol_eq, eta=g)

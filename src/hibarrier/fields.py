@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,9 +20,9 @@ __all__ = [
     "clarke_support",
     "image_samples",
     "filter_by_cone",
+    "grid",
     "Vertices",
     "Grid",
-    "Random",
 ]
 
 C1 = "c1"
@@ -113,14 +114,19 @@ def gradient(f: ScalarField, x: Sequence[float] | np.ndarray,
         if not np.all(np.isfinite(g)):
             raise EvaluationError(f"gradient of {f.name or '<anon>'} is non-finite", x)
         return g
-    h = fd_step(x) if h is None else h
+    g = _central_difference(f, x, fd_step(x) if h is None else h)
+    if not np.all(np.isfinite(g)):
+        raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", x)
+    return g
+
+
+def _central_difference(f: ScalarField, x: np.ndarray, h: float) -> np.ndarray:
+    """The central difference quotients of f at x with step h, unchecked."""
     g = np.empty(f.n)
     for i in range(f.n):
         e = np.zeros(f.n)
         e[i] = h
         g[i] = (f.fn(x + e) - f.fn(x - e)) / (2.0 * h)
-    if not np.all(np.isfinite(g)):
-        raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", x)
     return g
 
 
@@ -156,18 +162,8 @@ def clarke_support(f: ScalarField, x: Sequence[float] | np.ndarray,
         batch = _ball_points(rng, f.n, count)
         for u in batch:
             attempts += 1
-            xi = x + radius * u
-            g = np.empty(f.n)
-            ok = True
-            for i in range(f.n):
-                e = np.zeros(f.n)
-                e[i] = fd
-                gi = (f.fn(xi + e) - f.fn(xi - e)) / (2.0 * fd)
-                if not np.isfinite(gi):
-                    ok = False
-                    break
-                g[i] = gi
-            if ok:
+            g = _central_difference(f, x + radius * u, fd)
+            if np.all(np.isfinite(g)):
                 grads.append(g)
                 if len(grads) >= count:
                     break
@@ -219,40 +215,32 @@ class Grid:
     d: int = 5
 
 
-@dataclass(frozen=True)
-class Random:
-    count: int = 32
-    seed: int = 0
+Scheme = Vertices | Grid  # Vertices is Grid(2): linspace(0, 1, 2) is {0, 1}
+
+_GRID_LIMIT = 4096  # lambda grid points (2^12 vertices)
 
 
-Scheme = Vertices | Grid | Random
-
-_VERTEX_LIMIT = 12
-
-
-def _lambda_grid(k: int, scheme: Scheme) -> np.ndarray:
-    if k == 0:
-        return np.zeros((1, 0))
-    if isinstance(scheme, Vertices):
-        if k > _VERTEX_LIMIT:
-            raise BudgetError(f"vertices scheme with k={k} exceeds 2^{_VERTEX_LIMIT} budget; use random")
-        return np.array(list(itertools.product((0.0, 1.0), repeat=k)))
-    if isinstance(scheme, Grid):
-        axes = [np.linspace(0.0, 1.0, scheme.d)] * k
-        return np.array(list(itertools.product(*axes)))
-    if isinstance(scheme, Random):
-        rng = np.random.default_rng((int(scheme.seed), 0x1A6))
-        return rng.uniform(size=(scheme.count, k))
-    raise TypeError(f"unknown scheme {scheme!r}")
+@functools.lru_cache(maxsize=None)
+def grid(k: int, d: int) -> tuple[np.ndarray, ...]:
+    """The d^k points of linspace(0, 1, d)^k in itertools.product order (one
+    empty point for k = 0), built once per (k, d) as read-only rows that
+    every caller shares. Raises BudgetError, before building anything, for
+    more than _GRID_LIMIT points."""
+    if d ** min(k, 13) > _GRID_LIMIT:  # d^13 > 4096 for every d >= 2
+        raise BudgetError(f"a lambda grid of {d}^{k} points exceeds the budget "
+                          f"of {_GRID_LIMIT} points")
+    rows = tuple(np.array(p) for p in itertools.product(np.linspace(0.0, 1.0, d), repeat=k))
+    for lam in rows:
+        lam.setflags(write=False)
+    return rows
 
 
 def image_samples(F: SetValuedMap, x: Sequence[float] | np.ndarray,
                   scheme: Scheme = Grid(5)) -> list[np.ndarray]:
-    """Finite sample of the image F(x) over the lambda box."""
+    """Finite sample of the image F(x) over the lambda grid of the scheme."""
     x = np.asarray(x, dtype=float)
-    lams = _lambda_grid(F.k, scheme)
     out = []
-    for lam in lams:
+    for lam in grid(F.k, 2 if isinstance(scheme, Vertices) else scheme.d):
         y = F(x, lam)
         if not np.all(np.isfinite(y)):
             raise EvaluationError(f"map {F.name or '<anon>'} is non-finite", x)

@@ -39,6 +39,7 @@ __all__ = [
     "external_min_ratio",
     "sample",
     "sample_boundary",
+    "rng_for",
 ]
 
 
@@ -339,9 +340,6 @@ class SetDescription:
 
     def intersect(self, other: "SetDescription", name: str = "") -> "SetDescription":
         return SetDescription(self.n, Intersection((self.root, other.root)), name)
-
-    def union(self, other: "SetDescription", name: str = "") -> "SetDescription":
-        return SetDescription(self.n, Union((self.root, other.root)), name)
 
     def flat_intersection_leaves(self) -> list[Leaf] | None:
         """Leaves when the tree is a pure intersection (no unions), else None."""
@@ -763,7 +761,7 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
     closed = S.closure()
     if closed.classify(x, 0.0) != Membership.OUTSIDE:
         return x.copy(), 0.0
-    rng = np.random.default_rng((int(seed), zlib.crc32(b"project")))
+    rng = rng_for(seed, "project")
     best: tuple[np.ndarray, float] | None = None
     terms = sorted(closed._terms, key=lambda lv: _term_lower_bound(lv, x))
     for leaves in terms:
@@ -1187,6 +1185,13 @@ def in_box(x: np.ndarray, box: np.ndarray) -> bool:
     return bool(np.all(x >= box[:, 0] - 1e-9) and np.all(x <= box[:, 1] + 1e-9))
 
 
+def rng_for(seed: int | tuple, tag: str) -> np.random.Generator:
+    """The substream of an int or tuple seed tagged `tag`: numpy's generator
+    seeded with (*seed, crc32(tag))."""
+    key = seed if isinstance(seed, tuple) else (seed,)
+    return np.random.default_rng((*(int(s) for s in key), zlib.crc32(tag.encode())))
+
+
 def _box_draws(rng: np.random.Generator, box: np.ndarray, count: int) -> np.ndarray:
     lo, hi = box[:, 0], box[:, 1]
     return lo + rng.uniform(size=(count, box.shape[0])) * (hi - lo)
@@ -1223,7 +1228,7 @@ def sample(S: SetDescription, box: Sequence[Sequence[float]] | np.ndarray, n: in
     if not S.closure()._terms:  # every DNF term holds a constant leaf > 0
         return SampleResult(points=[], requested=n, achieved=0, short=True)
     box = np.asarray(box, dtype=float)
-    rng = np.random.default_rng((int(seed), zlib.crc32(b"sample")))
+    rng = rng_for(seed, "sample")
     points: list[np.ndarray] = []
     budget = max(50 * n, 4000)
     drawn = 0
@@ -1261,7 +1266,7 @@ def sample_boundary(S: SetDescription, box: Sequence[Sequence[float]] | np.ndarr
     if n <= 0 or band <= 0:
         raise PreconditionError("need n > 0 and band > 0")
     box = np.asarray(box, dtype=float)
-    rng = np.random.default_rng((int(seed), zlib.crc32(b"boundary")))
+    rng = rng_for(seed, "boundary")
     inside = sample(S, box, max(2 * n, 32), seed=seed)
     points: list[np.ndarray] = []
     if inside.points:

@@ -9,7 +9,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import geometry as geo
-from .fields import C1, LIPSCHITZ, Grid, ScalarField, SetValuedMap, image_samples, gradient
+from .fields import C1, LIPSCHITZ, Grid, ScalarField, SetValuedMap, image_samples, negated
 
 __all__ = [
     "HybridSystem",
@@ -77,15 +77,11 @@ class BarrierCandidate:
         return best
 
     def scalarized(self) -> ScalarField:
-        """max_i B_i; only continuous in general even when every B_i is C1."""
+        """max_i B_i as bar_value gives it; only continuous in general even
+        when every B_i is C1."""
         if self.m == 1:
             return self.components[0]
-        comps = self.components
-
-        def fn(x: np.ndarray) -> float:
-            return max(c.fn(x) for c in comps)
-
-        return ScalarField(comps[0].n, fn, grad=None, tag=LIPSCHITZ, name="max(B)")
+        return ScalarField(self.components[0].n, self.bar_value, tag=LIPSCHITZ, name="max(B)")
 
     def all_c1(self) -> bool:
         return all(c.tag == C1 for c in self.components)
@@ -194,33 +190,25 @@ class KComplex:
         """Points of M_i = { x in dK : B_i(x) = 0 } within the band tolerance,
         memoised with the pools.
 
-        Candidates come from K and dK samples pushed onto { B_i = 0 } by
-        Newton steps; kept when they stay boundary-classified for K.
+        Candidates come from K and dK samples pushed onto { B_i = 0 } by up
+        to 40 Newton steps on {B_i <= 0, -B_i <= 0}; kept when |B_i| is at
+        most max(1e-12, min(band, 1e-9)) there and the point stays
+        boundary-classified for K.
         """
         box = np.asarray(box, dtype=float)
         key = (("M", i), box.tobytes(), n, band, seed)  # never a set name
         if key in self._pools:
             return self._pools[key]
         b_i = self.barrier.components[i]
+        level = (geo.Leaf(b_i), geo.Leaf(negated(b_i)))
         cands = [*self.pool(self.K, box, max(2 * n, 32), seed, band).points,
                  *self.pool(self.K, box, max(2 * n, 32), seed).points]
         points: list[np.ndarray] = []
         for cand in cands:
             if len(points) >= n:
                 break
-            y = cand.astype(float).copy()
-            ok = False
-            for _ in range(40):
-                v = float(b_i.fn(y))
-                if abs(v) <= 1e-12:
-                    ok = True
-                    break
-                g = gradient(b_i, y)
-                gg = float(g @ g)
-                if gg < 1e-18:
-                    break
-                y = y - (v / gg) * g
-            if not ok and abs(float(b_i.fn(y))) > min(band, 1e-9):
+            y = geo._newton_feasibility(level, cand, 40, slack=1e-12)
+            if abs(float(b_i.fn(y))) > max(1e-12, min(band, 1e-9)):
                 continue
             if geo.in_box(y, box) and self.K.classify(y, band) == geo.Membership.BOUNDARY:
                 points.append(y)

@@ -11,7 +11,6 @@ substreams of the same seed.
 
 from __future__ import annotations
 
-import zlib
 from typing import Callable
 
 import numpy as np
@@ -21,7 +20,6 @@ from .fields import negated
 from .model import HybridSystem, KComplex
 
 __all__ = [
-    "rng_for",
     "m_on_c",
     "m_band",
     "outside_band",
@@ -39,10 +37,6 @@ __all__ = [
 ]
 
 _IN_C_TOL = 1e-6  # membership slack when filtering "x in C" after refinement
-
-
-def rng_for(seed: int, tag: str) -> np.random.Generator:
-    return np.random.default_rng((int(seed), zlib.crc32(tag.encode())))
 
 
 def _ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
@@ -133,7 +127,7 @@ def m_band(kc: KComplex, H: HybridSystem, i: int, box: np.ndarray, n: int,
             return None
         return p
 
-    return _perturb(rng_for(seed, f"m-band-{i}"), anchors, n, radius, 2.0, box, step)
+    return _perturb(geo.rng_for(seed, f"m-band-{i}"), anchors, n, radius, 2.0, box, step)
 
 
 def outside_band(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
@@ -152,7 +146,7 @@ def outside_band(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
             return None
         return p
 
-    return _perturb(rng_for(seed, "outside-band"), anchors, n, radius, 2.0, box, step)
+    return _perturb(geo.rng_for(seed, "outside-band"), anchors, n, radius, 2.0, box, step)
 
 
 def ke_boundary_in_c(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
@@ -186,7 +180,7 @@ def region_a(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
             return None
         return y
 
-    return _perturb(rng_for(seed, "region-a"), anchors, n, radius, 2.0, box, step)
+    return _perturb(geo.rng_for(seed, "region-a"), anchors, n, radius, 2.0, box, step)
 
 
 def region_b(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
@@ -209,7 +203,7 @@ def region_b(kc: KComplex, H: HybridSystem, box: np.ndarray, n: int,
 
     # anchors lie only within `band` of dC, so each is checked against C too
     seeded = [a for a in anchors[:max(2, n // 4)] if _in_ke_cap_c(kc, H, a)]
-    return _perturb(rng_for(seed, "region-b"), anchors, n, radius, 2.0, box, step,
+    return _perturb(geo.rng_for(seed, "region-b"), anchors, n, radius, 2.0, box, step,
                     out=seeded)[:n]
 
 
@@ -306,7 +300,7 @@ def neighborhood_on_kdc(kc: KComplex, H: HybridSystem, x_o: np.ndarray,
             return None
         return p
 
-    return _perturb(rng_for(seed, "kdc-neighborhood"), [x_o], count, radius, 1.5, box,
+    return _perturb(geo.rng_for(seed, "kdc-neighborhood"), [x_o], count, radius, 1.5, box,
                     step)
 
 

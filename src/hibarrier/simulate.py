@@ -3,16 +3,14 @@ counterexample search for invariance and contractivity."""
 
 from __future__ import annotations
 
-import functools
 import math
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import geometry as geo
-from .fields import EvaluationError, Grid, image_samples, filter_by_cone
+from .fields import EvaluationError, Grid, grid, image_samples, filter_by_cone
 from .model import (EXIT_TOL, ArcInterval, BarrierCandidate, HybridArc, HybridSystem,
                     KComplex, ScenarioResult, scenario_classify)
 
@@ -98,16 +96,6 @@ class SelectionPolicy:
     jump: Rule = Constant()
     overlap: Overlap = Overlap("flow")
 
-    def label(self) -> str:
-        def rule_label(r: Rule) -> str:
-            if isinstance(r, Constant):
-                return "const"
-            if isinstance(r, PerStepRandom):
-                return "random"
-            return f"adv{r.d}"
-
-        return f"{rule_label(self.flow)}/{rule_label(self.jump)}/{self.overlap.kind}"
-
 
 @dataclass(frozen=True)
 class Horizon:
@@ -132,18 +120,6 @@ def default_policy_pool() -> tuple[SelectionPolicy, ...]:
 # Integration
 
 
-@functools.lru_cache(maxsize=None)
-def _grid_candidates(k: int, d: int) -> tuple[np.ndarray, ...]:
-    """The d^k grid points of [0,1]^k in meshgrid ("ij") order, built once
-    per (k, d) and read-only, as every step shares them."""
-    axes = np.linspace(0.0, 1.0, d)
-    mesh = np.meshgrid(*([axes] * k), indexing="ij")
-    cands = tuple(np.array(v) for v in zip(*(m.ravel() for m in mesh)))
-    for lam in cands:
-        lam.setflags(write=False)
-    return cands
-
-
 def _lambda_candidates(k: int, rule: Rule, rng: np.random.Generator) -> Sequence[np.ndarray]:
     if k == 0:
         return [np.zeros(0)]
@@ -152,7 +128,7 @@ def _lambda_candidates(k: int, rule: Rule, rng: np.random.Generator) -> Sequence
         return [lam]
     if isinstance(rule, PerStepRandom):
         return [rng.uniform(size=k)]
-    return _grid_candidates(k, rule.d)
+    return grid(k, rule.d)
 
 
 def _select_lambda(k: int, rule: Rule, rng: np.random.Generator,
@@ -214,8 +190,7 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
     if (H.C.closure().classify(x0, _S0_TOL) == geo.Membership.OUTSIDE
             and H.D.classify(x0, _S0_TOL) == geo.Membership.OUTSIDE):
         raise geo.PreconditionError("x0 violates (S0): outside cl(C) u D")
-    seed_key = seed if isinstance(seed, tuple) else (seed,)
-    rng = np.random.default_rng((*(int(s) for s in seed_key), zlib.crc32(b"solve")))
+    rng = geo.rng_for(seed, "solve")
 
     rank = None if kc is None else kc.barrier.bar_value  # of a trial step's state
 
@@ -318,7 +293,7 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
                     blocked = True
                     continue
                 else:
-                    step = _attempt_feasible_flow(H, x, h, rng)
+                    step = _attempt_feasible_flow(H, x, h)
                     if step is None:
                         cause = SOLUTION_DIES
                         flags.append("dies-sampled")
@@ -339,15 +314,15 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
     return HybridArc(intervals=intervals, termination=cause, flags=flags)
 
 
-def _attempt_feasible_flow(H: HybridSystem, x: np.ndarray, h: float,
-                           rng: np.random.Generator) -> tuple[float, np.ndarray] | None:
+def _attempt_feasible_flow(H: HybridSystem, x: np.ndarray,
+                           h: float) -> tuple[float, np.ndarray] | None:
     """At a boundary point of C (outside D): look for a flow selection that
     makes progress. None means no sampled direction works (solution dies)."""
     etas = image_samples(H.F, x, Grid(5))
     kept = filter_by_cone(etas, H.C, x)
     if not kept:
         return None
-    for lam in _lambda_candidates(H.F.k, AdversarialGrid(5), rng):
+    for lam in grid(H.F.k, 5):
         for shrink in (1.0, 0.25, 0.0625):
             try:
                 x_try = H.F.step(x, lam, h * shrink)

@@ -515,16 +515,6 @@ def test_uniqueness_function_parse():
         cert.UniquenessFunction("linear", k=0.0)
 
 
-def test_custom_uniqueness_function_flagged():
-    H, B = equality_system()
-    cfg = cert.CheckConfig(box=((-2.0, 2.0),), samples=8, seed=0)
-    rho = cert.UniquenessFunction("custom", custom=fl.ScalarField(
-        1, lambda w: 2.0 * float(w[0]), name="2w"))
-    v = cert.check_relaxed(H, B, cfg, rho)
-    assert v.status == cert.NO_VIOLATION
-    assert "custom-uniqueness-function" in v.flags
-
-
 def test_relaxed_bound_binds_on_expillu():
     # sqrt(x2) > rho(x2) = x2 near the boundary: the relaxation does not save it
     b = example_bundle("expillu")

@@ -74,6 +74,22 @@ def test_check_malformed_config_exit_three(tmp_path):
     assert main(["check", str(bad)]) == 3
 
 
+def test_large_lambda_grids_exit_three(tmp_path, capsys):
+    # 5^13 image samples per point, or 5000 trial steps per step, are refused
+    # as usage errors before a grid is built
+    doc = tmp_path / "params13.json"
+    doc.write_text(json.dumps({**_GOOD, "params": 13}))
+    assert main(["check", str(doc), "--theorem", "thm1", "--samples", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "5^13 points" in err
+    doc = tmp_path / "params1.json"
+    doc.write_text(json.dumps({**_GOOD, "params": 1, "F": ["1", "p1"]}))
+    assert main(["simulate", str(doc), "--x0=-0.5,-0.5",
+                 "--policy", "adversarial:5000"]) == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "5000^1 points" in err
+
+
 def test_report_reproducible_minus_timing(emitted, tmp_path):
     cfg = emitted("bouncing-ball")
     reps = []

@@ -1,8 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from hibarrier import fields as fl
 from hibarrier import geometry as geo
+from hibarrier import simulate as sim
+from hibarrier.config import system_from_dict
 from hibarrier.catalog import example_bundle
 
 
@@ -110,6 +115,20 @@ def test_scalarization_support_single_active():
     assert abs(s - 1.0) <= 10 * 1e-4  # grad b1 = (0, 1)
 
 
+@pytest.mark.parametrize("exprs", [["x1 - 1", "sqrt(x1)"], ["sqrt(x1)", "x1 - 1"]])
+def test_scalarized_max_propagates_nan(exprs):
+    # a nan component makes max_i B_i nan in either order, as bar_value has it
+    B = system_from_dict({"name": "nan", "dim": 1, "C": "x1", "D": "-x1", "F": ["1"],
+                          "G": ["x1"], "barrier": exprs, "box": [[-1, 1]]}).barrier
+    bar = B.scalarized()
+    x = np.array([-0.5])
+    assert math.isnan(bar.fn(x)) and math.isnan(B.bar_value(x))
+    assert bar.fn(np.array([4.0])) == B.bar_value(np.array([4.0])) == 3.0
+    # every Clarke sample near x is nan, so none is kept
+    with pytest.raises(fl.EvaluationError, match="no finite Clarke"):
+        fl.clarke_support(bar, x, np.array([1.0]), seed=0)
+
+
 # ---------------------------------------------------------------------------
 # set-valued maps
 
@@ -144,13 +163,46 @@ def test_image_samples_bouncing_jump():
     assert got[0] == pytest.approx([0.0, 0.5])
 
 
-def test_image_samples_grid_and_random_determinism():
+def test_image_samples_grid_determinism():
     F = exp1_flow()
-    a = fl.image_samples(F, [0.2, 0.7], fl.Random(16, seed=4))
-    b = fl.image_samples(F, [0.2, 0.7], fl.Random(16, seed=4))
-    assert all(np.array_equal(p, q) for p, q in zip(a, b))
     grid = fl.image_samples(F, [0.2, 0.7], fl.Grid(5))
     assert len(grid) == 5
+    again = fl.image_samples(F, [0.2, 0.7], fl.Grid(5))
+    assert all(np.array_equal(p, q) for p, q in zip(grid, again))
+
+
+@pytest.mark.parametrize("k, d", [(0, 5), (1, 2), (1, 9), (2, 3), (3, 5), (2, 64), (12, 2)])
+def test_grid_is_the_shared_product_of_linspace(k, d):
+    rows = fl.grid(k, d)
+    want = list(itertools.product(np.linspace(0.0, 1.0, d), repeat=k))
+    assert len(rows) == len(want) == d ** k
+    for lam, p in zip(rows, want):
+        assert lam.dtype == float and lam.shape == (k,)
+        assert lam.tolist() == list(p)
+        assert not lam.flags.writeable
+    assert fl.grid(k, d) is rows
+    # image samples and the adversarial selection policy step through it
+    seen = []
+    F = fl.SetValuedMap(2, k, lambda x, lam: seen.append(lam) or np.zeros(2))
+    fl.image_samples(F, [0.0, 0.0], fl.Grid(d))
+    assert len(seen) == len(rows) and all(a is b for a, b in zip(seen, rows))
+    if k:
+        rng = np.random.default_rng(0)
+        assert sim._lambda_candidates(k, sim.AdversarialGrid(d), rng) is rows
+
+
+def test_vertices_are_the_grid_of_two():
+    seen = []
+    F = fl.SetValuedMap(2, 3, lambda x, lam: seen.append(lam) or np.zeros(2))
+    fl.image_samples(F, [0.0, 0.0], fl.Vertices())
+    assert len(seen) == 8 and all(a is b for a, b in zip(seen, fl.grid(3, 2)))
+
+
+@pytest.mark.parametrize("k, d", [(13, 2), (6, 5), (1, 4097), (10 ** 9, 2), (1, 10 ** 18)])
+def test_grid_budget(k, d):
+    # refused before anything is built, however large the grid
+    with pytest.raises(fl.BudgetError, match="budget"):
+        fl.grid(k, d)
 
 
 def test_vertices_budget_error():

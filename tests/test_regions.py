@@ -14,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from hibarrier import geometry as geo
 from hibarrier import regions, simulate
 from hibarrier.catalog import example_bundle
 from hibarrier.model import build_k_complex
@@ -135,7 +136,7 @@ def test_perturbation_budget_is_20n_draws(seeded):
         return None
 
     anchors = [np.zeros(2), np.ones(2)]
-    out = regions._perturb(regions.rng_for(0, "budget"), anchors, 8, 0.1, 2.0,
+    out = regions._perturb(geo.rng_for(0, "budget"), anchors, 8, 0.1, 2.0,
                            np.array([[-5.0, 5.0], [-5.0, 5.0]]), reject,
                            out=[np.zeros(2)] * seeded)
     assert len(out) == seeded
