@@ -111,11 +111,11 @@ def gradient(f: ScalarField, x: Sequence[float] | np.ndarray,
     x = np.asarray(x, dtype=float)
     if f.grad is not None:
         g = np.asarray(f.grad(x), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not all(map(math.isfinite, g.tolist())):
             raise EvaluationError(f"gradient of {f.name or '<anon>'} is non-finite", x)
         return g
     g = _central_difference(f, x, fd_step(x) if h is None else h)
-    if not np.all(np.isfinite(g)):
+    if not all(map(math.isfinite, g.tolist())):
         raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", x)
     return g
 

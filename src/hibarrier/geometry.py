@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -17,7 +18,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .expr import compile_source, inline
-from .fields import EvaluationError, ScalarField, fd_step, gradient
+from .fields import EvaluationError, ScalarField, gradient
 
 __all__ = [
     "Membership",
@@ -400,78 +401,153 @@ def _newton_feasibility(leaves: Sequence[Leaf], y: np.ndarray, iters: int = 25,
     return y
 
 
-def _lstsq(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The least-squares, least-norm x with M x = v, for an M whose rows or
-    columns are unit vectors and linearly independent: a dot product for
-    one column or one row, a solve for a square M, numpy's lstsq otherwise."""
-    rows, cols = M.shape
-    if cols == 1:
-        return np.array([float(M[:, 0] @ v)])
-    if rows == 1:
-        return M[0] * float(v[0])
-    if rows == cols:
-        return np.linalg.solve(M, v)
-    return np.linalg.lstsq(M, v, rcond=None)[0]
+# The kernels of the Lagrange-Newton loop run on lists of floats: vectors
+# have 2 or 3 entries, where numpy's cost per call outweighs the arithmetic.
+# Their sums round as Python's, not as BLAS's fused multiply-adds, so they
+# agree with numpy's results to rounding, not bit for bit.
 
 
-def _qp_project(A: np.ndarray, b: np.ndarray, z: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray] | None:
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum([p * q for p, q in zip(a, b)])
+
+
+def _sqdist(a: Sequence[float], b: Sequence[float]) -> float:
+    """|a - b|^2."""
+    return sum([(p - q) * (p - q) for p, q in zip(a, b)])
+
+
+def _cholesky(M: list[list[float]]) -> list[list[float]] | None:
+    """The lower triangular L, as rows, with L L^T = M, by the textbook
+    algorithm on M's lower triangle; None where a pivot is not positive, or
+    not a number, so that M is not positive definite in floating point."""
+    L: list[list[float]] = []
+    for i, Mi in enumerate(M):
+        row: list[float] = []
+        for k in range(i):
+            row.append((Mi[k] - sum([row[j] * L[k][j] for j in range(k)])) / L[k][k])
+        s = Mi[i] - sum([v * v for v in row])
+        if not s > 0.0:
+            return None
+        row.append(math.sqrt(s))
+        L.append(row)
+    return L
+
+
+def _solve_lower(L: list[list[float]], w: Sequence[float]) -> list[float]:
+    """x with L x = w, for L lower triangular, as rows, with a nonzero
+    diagonal (forward substitution)."""
+    x: list[float] = []
+    for i, row in enumerate(L):
+        x.append((w[i] - sum([row[k] * x[k] for k in range(i)])) / row[i])
+    return x
+
+
+def _solve_upper(L: list[list[float]], w: Sequence[float]) -> list[float]:
+    """x with L^T x = w, for L as in `_solve_lower` (back substitution)."""
+    n = len(L)
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (w[i] - sum([L[k][i] * x[k] for k in range(i + 1, n)])) / L[i][i]
+    return x
+
+
+def _orthogonalized(Q: list[list[float]], a: Sequence[float]
+                    ) -> tuple[list[float], list[float]]:
+    """(c, v): the coefficients c of a on the orthonormal rows Q and the part
+    v = a - sum_j c_j Q_j of a orthogonal to them, by modified Gram-Schmidt
+    taken twice, so that v stays orthogonal where a nearly depends on Q."""
+    c = [0.0] * len(Q)
+    v = list(a)
+    for _ in range(2):
+        for j, q in enumerate(Q):
+            s = _dot(q, v)
+            c[j] += s
+            v = [vi - s * qi for vi, qi in zip(v, q)]
+    return c, v
+
+
+def _factor_append(Q: list[list[float]], T: list[list[float]], c: list[float],
+                   v: list[float]) -> None:
+    """Extend N = T Q by a row with coefficients c on Q and orthogonal part
+    v != 0 (`_orthogonalized`): Q's rows stay orthonormal and T lower
+    triangular, the QR factorization N^T = Q^T T^T of the rows N."""
+    norm = math.sqrt(_dot(v, v))
+    Q.append([vi / norm for vi in v])
+    T.append(c + [norm])
+
+
+def _qp_project(A: list[Sequence[float]], b: list[float], z: Sequence[float]
+                ) -> tuple[list[float], list[float]] | None:
     """(y, lam): the closest point y to z of {y : A y <= b} and the rows'
     multipliers lam >= 0, with y = z - A^T lam; None when the rows are
-    inconsistent. This is the dual active-set method of Goldfarb and Idnani
-    (1983) for an identity Hessian (Nocedal & Wright, ch. 16). From z, the
-    most violated row joins a set of linearly independent active rows; an
-    active row whose multiplier would turn negative first leaves the set.
-    A row that depends on the active ones, such as -x2 beside x2, never
-    joins it. Rows are scaled to unit norm, so the tolerance is a distance."""
-    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-    scale = np.where(norms > 0.0, norms, 1.0)
-    An, bn = A / scale[:, None], b / scale
-    tol = 1e-12 * (1.0 + float(np.abs(z).max()))
-    y = z.astype(float)
-    lam = np.zeros(len(b))
+    inconsistent. A is a list of rows; vectors are lists of floats. This is
+    the dual active-set method of Goldfarb and Idnani (1983) for an identity
+    Hessian (Nocedal & Wright, ch. 16). From z, the most violated row joins
+    a set of linearly independent active rows; an active row whose
+    multiplier would turn negative first leaves the set. A row that depends
+    on the active ones, such as -x2 beside x2, never joins it. Rows are
+    scaled to unit norm, so the tolerance is a distance. The active rows N
+    are held factored as N = T Q by Gram-Schmidt (`_factor_append`), never
+    through normal equations, which square the conditioning of rows that
+    nearly depend on each other."""
+    # a zero row keeps the scale 1: it holds everywhere or nowhere
+    scale = [s if s > 0.0 else 1.0 for s in (math.sqrt(_dot(a, a)) for a in A)]
+    An = [[v / s for v in a] for a, s in zip(A, scale)]
+    bn = [bj / s for bj, s in zip(b, scale)]
+    tol = 1e-12 * (1.0 + max(map(abs, z)))
+    y = list(z)
+    lam = [0.0] * len(b)
     active: list[int] = []
+    Q: list[list[float]] = []
+    T: list[list[float]] = []
     for _ in range(4 * (len(b) + len(z)) + 8):
-        viol = An @ y - bn
-        if viol.max() <= tol:
-            return y, np.maximum(lam, 0.0) / scale
         # the row violated most in its own units joins, so that of dependent
         # rows the one with the larger gradient carries the multiplier
-        p = int(np.where(viol > tol, viol * scale, -np.inf).argmax())
-        if p in active:  # only rounding leaves an active row violated
-            return y, np.maximum(lam, 0.0) / scale
+        p, worst = -1, -math.inf
+        for i, (a, bi, s) in enumerate(zip(An, bn, scale)):
+            v = _dot(a, y) - bi
+            if v > tol and v * s > worst:
+                p, worst = i, v * s
+        if p < 0 or p in active:  # only rounding leaves an active row violated
+            return y, [max(li, 0.0) / s for li, s in zip(lam, scale)]
         a = An[p]
         while True:
-            # r: a's coefficients on the active rows; d: minus the part of a
-            # orthogonal to them, the direction that keeps them active
-            N = An[active]
-            r = _lstsq(N.T, a) if active else np.zeros(0)
-            d = r @ N - a
-            dd = float(d @ d)
+            # r: a's coefficients on the active rows (T^T r = c); d: minus
+            # the part of a orthogonal to them, the direction that keeps
+            # them active
+            c, v = _orthogonalized(Q, a)
+            r = _solve_upper(T, c)
+            d = [-vi for vi in v]
+            dd = _dot(d, d)
             # the primal step that makes row p active, and the dual step at
             # which an active multiplier reaches zero
-            t2 = (float(a @ y) - bn[p]) / dd if dd > 1e-24 else np.inf
-            t1, k = np.inf, -1
+            t2 = (_dot(a, y) - bn[p]) / dd if dd > 1e-24 else math.inf
+            t1, k = math.inf, -1
             for i, ri in enumerate(r):
                 if ri > 1e-14 and lam[active[i]] / ri < t1:
                     t1, k = lam[active[i]] / ri, i
-            if t1 == np.inf and t2 == np.inf:
+            if t1 == math.inf and t2 == math.inf:
                 return None
             t = min(t1, t2)
-            if t2 < np.inf:
-                y = y + t * d
-            if active:
-                lam[active] -= t * r
+            if t2 < math.inf:
+                y = [yi + t * di for yi, di in zip(y, d)]
+            for i, ri in zip(active, r):
+                lam[i] -= t * ri
             lam[p] += t
             if t2 <= t1:
                 active.append(p)
+                _factor_append(Q, T, c, v)
                 # land exactly on the active rows, so that rounding in a long
-                # step does not leave a row that depends on them violated
-                N = An[active]
-                y = y - _lstsq(N, N @ y - bn[active])
+                # step does not leave a row that depends on them violated:
+                # the least-norm move Q^T u with T u = the rows' residuals
+                u = _solve_lower(T, [_dot(An[j], y) - bn[j] for j in active])
+                y = [yi - _dot(u, col) for yi, col in zip(y, zip(*Q))]
                 break
             lam[active[k]] = 0.0
             del active[k]
+            Q, T = [], []
+            for j in active:
+                _factor_append(Q, T, *_orthogonalized(Q, An[j]))
     return None
 
 
@@ -480,15 +556,18 @@ def _violation(fields: list[ScalarField], y: np.ndarray) -> float:
     try:
         return sum(max(f.value_checked(y), 0.0) for f in fields)
     except EvaluationError:
-        return np.inf
+        return math.inf
 
 
-def _leaf_models(f: ScalarField, y: np.ndarray, value: float
-                 ) -> list[list[tuple[np.ndarray, float]]]:
+Row = tuple[list[float], float]  # a linear model c + g u <= 0 of a leaf, as (g, c)
+
+
+def _leaf_models(f: ScalarField, y: np.ndarray, value: float) -> list[list[Row]]:
     """Linear models of a leaf at y for a Newton step: alternatives, each a
     list of rows (g, c) that must all hold as c + g u <= 0. A leaf with an
     analytic gradient has one row, (gradient, value). Without one, the row is
-    gradient()'s central difference, unless the one-sided differences
+    the central difference at gradient()'s step h (`fd_step`, with the norm
+    summed in floats), unless the one-sided differences
     disagree along exactly one coordinate: a kink of abs, max or min then
     lies within the step h, and the central difference would average its
     sides, which can hold the iterate on the kink. Each side is then the
@@ -497,68 +576,75 @@ def _leaf_models(f: ScalarField, y: np.ndarray, value: float
     kink (a max) needs both sides' rows; a concave one (a min) holds on
     either side, so each side is an alternative."""
     if f.grad is not None:
-        return [[(gradient(f, y), value)]]
-    h = fd_step(y)
-    g = np.empty(f.n)
+        return [[(gradient(f, y).tolist(), value)]]
+    x = y.tolist()
+    h = 1e-6 * (1.0 + math.sqrt(_dot(x, x)))
+    g = []
     kinks = []
     for i in range(f.n):
         e = np.zeros(f.n)
         e[i] = h
-        up, down = f.fn(y + e), f.fn(y - e)
-        g[i] = (up - down) / (2.0 * h)
+        up, down = float(f.fn(y + e)), float(f.fn(y - e))
+        g.append((up - down) / (2.0 * h))
         forward, backward = (up - value) / h, (value - down) / h
         if abs(forward - backward) > 1e-3 * (1.0 + abs(forward) + abs(backward)):
             kinks.append((i, e, up, down))
-    if not np.all(np.isfinite(g)):
+    if not all(map(math.isfinite, g)):
         raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", y)
     if len(kinks) != 1:
         return [[(g, value)]]
     (i, e, up, down), = kinks
-    far_up, far_down = f.fn(y + 2.0 * e), f.fn(y - 2.0 * e)
-    if not np.isfinite(far_up) or not np.isfinite(far_down):
+    far_up, far_down = float(f.fn(y + 2.0 * e)), float(f.fn(y - 2.0 * e))
+    if not math.isfinite(far_up) or not math.isfinite(far_down):
         raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", y)
-    right, left = g.copy(), g.copy()
+    right, left = g[:], g[:]
     right[i], left[i] = (far_up - up) / h, (down - far_down) / h
     sides = [(right, 2.0 * up - far_up), (left, 2.0 * down - far_down)]
     return [sides] if right[i] > left[i] else [[side] for side in sides]
 
 
-def _curvature_factor(fields: list[ScalarField], lam: np.ndarray, y: np.ndarray,
-                      models: list) -> np.ndarray | None:
-    """The Cholesky factor L of the Lagrangian's Hessian I + sum_j lam_j H_j
-    at y, over the leaves with exact second partials; None when no such
-    leaf has a positive multiplier, so that the step is a Gauss-Newton step.
-    Where that Hessian is not safely positive definite, rho G^T G is added,
-    G the unit model rows of the leaves with positive multipliers, for the
-    least rho in 1, 10, ..., 1e6 that makes it so (None past that): on
-    steps that keep those rows active it adds a constant to the QP, so the
-    step is still Newton's wherever the Hessian is positive definite on the
-    rows' null space, as at a strict local projection (the augmented
-    Lagrangian's Hessian; Nocedal & Wright, sec. 17.3)."""
-    terms = [lj * f.hess(y) for f, lj in zip(fields, lam) if lj > 0.0 and f.hess is not None]
-    if not terms:
+def _curvature_factor(fields: list[ScalarField], lam: list[float], y: np.ndarray,
+                      models: list[list[list[Row]]]) -> list[list[float]] | None:
+    """The Cholesky factor L (lower triangular, as rows) of the Lagrangian's
+    Hessian I + sum_j lam_j H_j at y, over the leaves with exact second
+    partials; None when no such leaf has a positive multiplier, so that the
+    step is a Gauss-Newton step. Where that Hessian is not safely positive
+    definite, rho G^T G is added, G the unit model rows of the leaves with
+    positive multipliers, for the least rho in 1, 10, ..., 1e6 that makes it
+    so (None past that): on steps that keep those rows active it adds a
+    constant to the QP, so the step is still Newton's wherever the Hessian
+    is positive definite on the rows' null space, as at a strict local
+    projection (the augmented Lagrangian's Hessian; Nocedal & Wright, sec.
+    17.3). The factorization is the textbook one; a pivot that is not
+    positive, or not a number, fails it and moves on to the next rho."""
+    curved = [(lj, f.hess(y).tolist()) for f, lj in zip(fields, lam)
+              if lj > 0.0 and f.hess is not None]
+    if not curved:
         return None
-    H = np.eye(len(y)) + sum(terms)
-    if not np.all(np.isfinite(H)):
+    n = len(y)
+    H = [[(1.0 if i == k else 0.0) + sum([lj * h[i][k] for lj, h in curved])
+          for k in range(n)] for i in range(n)]
+    if not all(math.isfinite(v) for row in H for v in row):
         return None
     GG = None
     for rho in (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
-        if rho and GG is None:
-            G = np.array([g for m, lj in zip(models, lam) if lj > 0.0 for g, _ in m[0]])
-            norms = np.sqrt(np.einsum("ij,ij->i", G, G))
-            G = G[norms > 0.0] / norms[norms > 0.0, None]
-            GG = G.T @ G
-        try:
-            L = np.linalg.cholesky(H + rho * GG if rho else H)
-        except np.linalg.LinAlgError:
-            continue
-        if float(np.min(np.diag(L))) >= 1e-3:
+        M = H
+        if rho:
+            if GG is None:
+                G = [g for m, lj in zip(models, lam) if lj > 0.0 for g, _ in m[0]]
+                G = [[v / s for v in g] for g, s in ((g, math.sqrt(_dot(g, g))) for g in G)
+                     if s > 0.0]
+                GG = [[_dot(gi, gk) for gk in zip(*G)] for gi in zip(*G)] if G \
+                    else [[0.0] * n for _ in range(n)]
+            M = [[h + rho * v for h, v in zip(hs, gs)] for hs, gs in zip(H, GG)]
+        L = _cholesky(M)
+        if L is not None and min(row[i] for i, row in enumerate(L)) >= 1e-3:
             return L
     return None
 
 
-def _kink_qp(models: list[list[list[tuple[np.ndarray, float]]]], w: np.ndarray,
-             L: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
+def _kink_qp(models: list[list[list[Row]]], w: list[float], L: list[list[float]] | None
+             ) -> tuple[list[float], list[float]] | None:
     """(d, lam): the step of one Newton iteration and the leaves'
     multipliers, or None when the linearization is inconsistent. The QP
     min 0.5 |u - L^-1 w|^2 over {u : c + G L^-T u <= 0} is solved for each
@@ -566,42 +652,48 @@ def _kink_qp(models: list[list[list[tuple[np.ndarray, float]]]], w: np.ndarray,
     kept, as the step d = L^-T u; L = None stands for the identity (a
     Gauss-Newton step). A leaf with no model rows adds nothing."""
     best = None
-    centre = w if L is None else np.linalg.solve(L, w)
+    centre = w if L is None else _solve_lower(L, w)
     for choice in itertools.product(*models):
         owner = [j for j, rows in enumerate(choice) for _ in rows]
         if not owner:
-            got = (centre, np.zeros(0))
+            got = (centre, [])
         else:
-            G = np.array([g for rows in choice for g, _ in rows])
-            c = np.array([cj for rows in choice for _, cj in rows])
-            got = _qp_project(G if L is None else np.linalg.solve(L, G.T).T, -c, centre)
+            G = [g if L is None else _solve_lower(L, g) for rows in choice for g, _ in rows]
+            got = _qp_project(G, [-cj for rows in choice for _, cj in rows], centre)
         if got is not None:
-            gap = float((got[0] - centre) @ (got[0] - centre))
+            gap = _sqdist(got[0], centre)
             if best is None or gap < best[0]:
-                best = (gap, got[0], np.bincount(owner, got[1], minlength=len(models)))
+                best = (gap, got[0], owner, got[1])
     if best is None:
         return None
-    return (best[1] if L is None else np.linalg.solve(L.T, best[1])), best[2]
+    _, u, owner, lam = best
+    leaf_lam = [0.0] * len(models)
+    for j, lj in zip(owner, lam):
+        leaf_lam[j] += lj
+    return (u if L is None else _solve_upper(L, u)), leaf_lam
 
 
-def _held_rows_dropped(fields: list[ScalarField], models: list, c: np.ndarray,
-                       y: np.ndarray, z: np.ndarray, L: np.ndarray | None
-                       ) -> tuple[np.ndarray, np.ndarray] | None:
+def _held_rows_dropped(fields: list[ScalarField], models: list[list[list[Row]]],
+                       c: list[float], y: list[float], w: list[float],
+                       L: list[list[float]] | None
+                       ) -> tuple[list[float], list[float]] | None:
     """`_kink_qp`'s step where the full linearization is inconsistent: a
     leaf that holds at y keeps its rows only once the step would violate the
     leaf itself. A concave leaf's linearization is stricter than the leaf,
     so one that holds everywhere, such as the closure of a strict leaf
     -|x - a|^2 < 0, can make the QP inconsistent where the term is not."""
-    keep = c > 0.0
+    keep = [cj > 0.0 for cj in c]
     while True:
-        got = _kink_qp([m if k else [[]] for m, k in zip(models, keep)], z - y, L)
+        got = _kink_qp([m if k else [[]] for m, k in zip(models, keep)], w, L)
         if got is None:
             return None
+        trial = np.array([yi + di for yi, di in zip(y, got[0])])
         late = [j for j, f in enumerate(fields)
-                if not keep[j] and _violation([f], y + got[0]) > 0.0]
+                if not keep[j] and _violation([f], trial) > 0.0]
         if not late:
             return got
-        keep[late] = True
+        for j in late:
+            keep[j] = True
 
 
 def _newton_term(leaves: Sequence[Leaf], z: np.ndarray, y0: np.ndarray) -> np.ndarray | None:
@@ -619,43 +711,52 @@ def _newton_term(leaves: Sequence[Leaf], z: np.ndarray, y0: np.ndarray) -> np.nd
     stops when the error left, predicted from the ratio of successive
     steps, is below 1e-10 (1 + |y|); where it stalls, a feasible y is
     returned (`_feasible`). An affine term's linearization is exact, so its
-    first step is the answer, and an inconsistent one proves the term empty."""
+    first step is the answer, and an inconsistent one proves the term empty.
+
+    The iteration runs on lists of floats (see `_dot`); the leaves are
+    evaluated at numpy copies of the iterates."""
     fields = [leaf.constraint for leaf in leaves]
     affine = all(f.affine for f in fields)
-    y, lam, mu = np.asarray(y0, dtype=float).copy(), np.zeros(len(fields)), 0.0
+    zl = np.asarray(z, dtype=float).tolist()
+    y = np.asarray(y0, dtype=float).tolist()
+    lam, mu = [0.0] * len(fields), 0.0
     previous = 0.0
     for _ in range(_NEWTON_MAXITER):
-        c = np.array([f.value_checked(y) for f in fields])
-        models = [_leaf_models(f, y, cj) for f, cj in zip(fields, c)]
-        L = _curvature_factor(fields, lam, y, models)
-        got = _kink_qp(models, z - y, L)
+        ya = np.array(y)
+        c = [f.value_checked(ya) for f in fields]
+        models = [_leaf_models(f, ya, cj) for f, cj in zip(fields, c)]
+        L = _curvature_factor(fields, lam, ya, models)
+        w = [zi - yi for zi, yi in zip(zl, y)]
+        got = _kink_qp(models, w, L)
         if got is None and not affine:
-            got = _held_rows_dropped(fields, models, c, y, z, L)
+            got = _held_rows_dropped(fields, models, c, y, w, L)
         if got is None:
             return None
         d = got[0]
         if affine:
-            return y + d
+            return np.array([yi + di for yi, di in zip(y, d)])
         lam = got[1]
         # the error left after this step, predicted from the steps' ratio
         # (quadratic and linear convergence alike)
-        step = float(np.abs(d).max())
-        rate = step / previous if previous > 0.0 else np.inf
+        step = max(map(abs, d))
+        rate = step / previous if previous > 0.0 else math.inf
         previous = step
-        tol = 1e-10 * (1.0 + float(np.abs(y).max()))
+        tol = 1e-10 * (1.0 + max(map(abs, y)))
         if step <= tol or (rate < 0.5 and step * rate / (1.0 - rate) <= tol):
-            return _feasible(fields, y + d)
-        if float(np.max(lam, initial=0.0)) > 1e6:  # diverging multipliers
+            return _feasible(fields, [yi + di for yi, di in zip(y, d)])
+        top = max(0.0, *lam)
+        if top > 1e6:  # diverging multipliers
             return _feasible(fields, y)
-        mu = max(mu, 2.0 * float(np.max(lam, initial=0.0)))
-        phi = 0.5 * float((y - z) @ (y - z)) + mu * float(np.sum(np.maximum(c, 0.0)))
-        slope = float((y - z) @ d) - mu * float(np.sum(np.maximum(c, 0.0)))
+        mu = max(mu, 2.0 * top)
+        excess = sum([max(cj, 0.0) for cj in c])
+        phi = 0.5 * _dot(w, w) + mu * excess
+        slope = -_dot(w, d) - mu * excess
 
-        def accepted(step: np.ndarray, t: float) -> bool:
-            trial = y + step
-            viol = _violation(fields, trial)
-            return viol < np.inf and (0.5 * float((trial - z) @ (trial - z)) + mu * viol
-                                      <= phi + 1e-4 * t * min(slope, 0.0))
+        def accepted(step: list[float], t: float) -> bool:
+            trial = [yi + si for yi, si in zip(y, step)]
+            viol = _violation(fields, np.array(trial))
+            return viol < math.inf and (0.5 * _sqdist(trial, zl) + mu * viol
+                                        <= phi + 1e-4 * t * min(slope, 0.0))
 
         t = 1.0
         if not accepted(d, 1.0):
@@ -663,30 +764,32 @@ def _newton_term(leaves: Sequence[Leaf], z: np.ndarray, y0: np.ndarray) -> np.nd
             # again, each row shifted by its leaf's model error at y + d; it
             # is kept only as a correction, shorter than half the step
             try:
-                ahead = [f.value_checked(y + d) for f in fields]
-                soc = _kink_qp([[[(g, cj - float(g @ d)) for g, _ in alt] for alt in m]
-                                for m, cj in zip(models, ahead)], z - y, L)
+                ahead = [f.value_checked(np.array([yi + di for yi, di in zip(y, d)]))
+                         for f in fields]
+                soc = _kink_qp([[[(g, cj - _dot(g, d)) for g, _ in alt] for alt in m]
+                                for m, cj in zip(models, ahead)], w, L)
             except EvaluationError:
                 soc = None
-            if (soc is not None and 4.0 * float((soc[0] - d) @ (soc[0] - d)) <= float(d @ d)
+            if (soc is not None and 4.0 * _sqdist(soc[0], d) <= _dot(d, d)
                     and accepted(soc[0], 1.0)):
                 d = soc[0]
             else:
                 t = 0.5
-                while not accepted(t * d, t):
+                while not accepted([t * di for di in d], t):
                     t *= 0.5
                     if t < 1e-10:
                         return _feasible(fields, y)
-        y = y + t * d
+        y = [yi + t * di for yi, di in zip(y, d)]
     return _feasible(fields, y)
 
 
-def _feasible(fields: list[ScalarField], y: np.ndarray) -> np.ndarray | None:
-    """y where it satisfies every leaf up to _FEAS_TOL, else None. Where the
-    iteration stops short of convergence, as where the active gradients
-    vanish or turn dependent at the answer and no regular KKT point lies
-    ahead, a feasible y still bounds the distance from above."""
-    return y if max(f.value_checked(y) for f in fields) <= _FEAS_TOL else None
+def _feasible(fields: list[ScalarField], y: list[float]) -> np.ndarray | None:
+    """y, as an array, where it satisfies every leaf up to _FEAS_TOL, else
+    None. Where the iteration stops short of convergence, as where the
+    active gradients vanish or turn dependent at the answer and no regular
+    KKT point lies ahead, a feasible y still bounds the distance from above."""
+    ya = np.array(y)
+    return ya if max(f.value_checked(ya) for f in fields) <= _FEAS_TOL else None
 
 
 def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray]
@@ -763,9 +866,9 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
         return x.copy(), 0.0
     rng = rng_for(seed, "project")
     best: tuple[np.ndarray, float] | None = None
-    terms = sorted(closed._terms, key=lambda lv: _term_lower_bound(lv, x))
-    for leaves in terms:
-        if best is not None and _term_lower_bound(leaves, x) > 4.0 * best[1] + 1e-12:
+    bounds = [(_term_lower_bound(leaves, x), leaves) for leaves in closed._terms]
+    for bound, leaves in sorted(bounds, key=lambda pair: pair[0]):
+        if best is not None and bound > 4.0 * best[1] + 1e-12:
             continue  # cannot beat the incumbent (heuristic prune)
         term_starts: list[np.ndarray] = []
         if warm is not None:

@@ -1,9 +1,10 @@
+import itertools
 import json
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import minimize
 
 from hibarrier import fields as fl
@@ -872,15 +873,245 @@ def test_evaluation_error_in_one_start_does_not_abort_the_projection():
 
 def test_qp_accepts_opposite_and_dependent_rows():
     # {x2 <= 0, -x2 <= 0, 2 x2 <= 0, x1 <= 1}: the segment x2 = 0, x1 <= 1
-    A = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [1.0, 0.0]])
-    b = np.array([0.0, 0.0, 0.0, 1.0])
-    y, lam = geo._qp_project(A, b, np.array([3.0, 2.0]))
+    A = [[0.0, 1.0], [0.0, -1.0], [0.0, 2.0], [1.0, 0.0]]
+    y, lam = geo._qp_project(A, [0.0, 0.0, 0.0, 1.0], [3.0, 2.0])
     assert y == pytest.approx([1.0, 0.0], abs=1e-15)
-    assert np.all(lam >= 0.0)
-    assert np.array([3.0, 2.0]) - A.T @ lam == pytest.approx(y, abs=1e-12)
+    assert min(lam) >= 0.0
+    assert np.array([3.0, 2.0]) - np.array(A).T @ lam == pytest.approx(y, abs=1e-12)
     # x1 <= 0 and -x1 <= -1 have no common point
-    assert geo._qp_project(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]),
-                           np.zeros(2)) is None
+    assert geo._qp_project([[1.0, 0.0], [-1.0, 0.0]], [0.0, -1.0], [0.0, 0.0]) is None
+
+
+# The numpy kernels that the Newton loop ran on before it ran on floats, kept
+# as references
+
+
+def _lstsq_ref(M, v):
+    """The former geometry._lstsq: the least-squares, least-norm x with
+    M x = v, for an M whose rows or columns are unit vectors and linearly
+    independent."""
+    rows, cols = M.shape
+    if cols == 1:
+        return np.array([float(M[:, 0] @ v)])
+    if rows == 1:
+        return M[0] * float(v[0])
+    if rows == cols:
+        return np.linalg.solve(M, v)
+    return np.linalg.lstsq(M, v, rcond=None)[0]
+
+
+def _qp_project_ref(A, b, z):
+    """The former numpy geometry._qp_project: Goldfarb and Idnani's dual
+    active-set method for an identity Hessian, through _lstsq_ref."""
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    scale = np.where(norms > 0.0, norms, 1.0)
+    An, bn = A / scale[:, None], b / scale
+    tol = 1e-12 * (1.0 + float(np.abs(z).max()))
+    y = z.astype(float)
+    lam = np.zeros(len(b))
+    active = []
+    for _ in range(4 * (len(b) + len(z)) + 8):
+        viol = An @ y - bn
+        if viol.max() <= tol:
+            return y, np.maximum(lam, 0.0) / scale
+        p = int(np.where(viol > tol, viol * scale, -np.inf).argmax())
+        if p in active:
+            return y, np.maximum(lam, 0.0) / scale
+        a = An[p]
+        while True:
+            N = An[active]
+            r = _lstsq_ref(N.T, a) if active else np.zeros(0)
+            d = r @ N - a
+            dd = float(d @ d)
+            t2 = (float(a @ y) - bn[p]) / dd if dd > 1e-24 else np.inf
+            t1, k = np.inf, -1
+            for i, ri in enumerate(r):
+                if ri > 1e-14 and lam[active[i]] / ri < t1:
+                    t1, k = lam[active[i]] / ri, i
+            if t1 == np.inf and t2 == np.inf:
+                return None
+            t = min(t1, t2)
+            if t2 < np.inf:
+                y = y + t * d
+            if active:
+                lam[active] -= t * r
+            lam[p] += t
+            if t2 <= t1:
+                active.append(p)
+                N = An[active]
+                y = y - _lstsq_ref(N, N @ y - bn[active])
+                break
+            lam[active[k]] = 0.0
+            del active[k]
+    return None
+
+
+def _curvature_factor_ref(fields, lam, y, models):
+    """The former geometry._curvature_factor: numpy's Cholesky on the
+    Lagrangian's Hessian, with rho G^T G added along the ladder."""
+    terms = [lj * f.hess(y) for f, lj in zip(fields, lam) if lj > 0.0 and f.hess is not None]
+    if not terms:
+        return None
+    H = np.eye(len(y)) + sum(terms)
+    if not np.all(np.isfinite(H)):
+        return None
+    GG = None
+    for rho in (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+        if rho and GG is None:
+            G = np.array([g for m, lj in zip(models, lam) if lj > 0.0 for g, _ in m[0]])
+            norms = np.sqrt(np.einsum("ij,ij->i", G, G))
+            G = G[norms > 0.0] / norms[norms > 0.0, None]
+            GG = G.T @ G
+        try:
+            L = np.linalg.cholesky(H + rho * GG if rho else H)
+        except np.linalg.LinAlgError:
+            continue
+        if float(np.min(np.diag(L))) >= 1e-3:
+            return L
+    return None
+
+
+# a coefficient is 0 or at least 0.1 in size, so that a row is zero or
+# of a size that the 1e-12 tolerances refer to
+_COEF = st.one_of(st.just(0.0), st.floats(0.1, 1.0), st.floats(-1.0, -0.1))
+
+
+@st.composite
+def _qp_systems(draw):
+    """(A, b, z): rows in 2 or 3 dimensions, each with a partner that is
+    its opposite (a hyperplane or a slab), a multiple, a near-dependent
+    copy a + 1e-3 e, a zero row or an opposite that excludes it; or none."""
+    n = draw(st.sampled_from([2, 3]))
+    vec = st.lists(_COEF, min_size=n, max_size=n)
+    A, b = [], []
+    directions = []
+    for _ in range(draw(st.integers(1, 4))):
+        a, bi = draw(vec), draw(st.floats(-1.0, 1.0))
+        A.append(a)
+        b.append(bi)
+        directions.append(a)
+        kind = draw(st.sampled_from(["none", "opposite", "multiple", "near", "zero",
+                                     "inconsistent"]))
+        if kind == "opposite":
+            A.append([-v for v in a])
+            b.append(-bi + draw(st.sampled_from([0.0, 0.5])))
+        elif kind == "multiple":
+            k = draw(st.sampled_from([0.5, 2.0, 3.0]))
+            A.append([k * v for v in a])
+            b.append(k * bi + draw(st.sampled_from([0.0, 0.25])))
+        elif kind == "near":
+            # both rows hold as equalities where a y = bi and e y = beta,
+            # a point at a distance of order 1 however near the rows are
+            e = draw(vec)
+            A.append([v + 1e-3 * ei for v, ei in zip(a, e)])
+            b.append(bi + 1e-3 * draw(st.floats(-1.0, 1.0)))
+            directions.append(e)
+        elif kind == "zero":
+            A.append([0.0] * n)
+            b.append(draw(st.sampled_from([0.5, 0.0, -0.5])))
+        elif kind == "inconsistent":
+            A.append([-v for v in a])
+            b.append(-bi - 0.5)
+    z = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    # the drawn directions depend on each other exactly or not nearly, so
+    # that every near dependence is a designed one; where draws depend to
+    # between 1e-13 and 1e-2 by accident, the answer lies far out and is
+    # ill-posed at the 1e-12 the kernels are compared to
+    unit = [np.array(a) / np.linalg.norm(a) for a in directions if any(a)]
+    for k in range(2, n + 1):
+        for rows in itertools.combinations(unit, k):
+            sigma = np.linalg.svd(np.array(rows), compute_uv=False)[-1]
+            assume(not 1e-13 < sigma < 1e-2)
+    return A, b, z
+
+
+def _unique_multipliers(A, b, y):
+    """Whether the multipliers of the rows active at y are unique up to the
+    split between a row and its multiples or opposite: the active rows'
+    distinct directions are linearly independent. Where more of them meet
+    at y, which of them joins the active set is a tie that rounding breaks."""
+    rows = []
+    for a, bi in zip(np.array(A), b):
+        norm = float(np.linalg.norm(a))
+        if norm == 0.0 or abs(float(a @ y) - bi) > 1e-9 * norm:
+            continue
+        u = a / norm
+        if not any(np.abs(u - r).max() <= 1e-12 or np.abs(u + r).max() <= 1e-12 for r in rows):
+            rows.append(u)
+    return len(rows) <= 1 or np.linalg.svd(np.array(rows), compute_uv=False)[-1] > 1e-6
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_qp_systems())
+def test_qp_project_matches_the_numpy_reference(system):
+    A, b, z = system
+    ref = _qp_project_ref(np.array(A), np.array(b), np.array(z))
+    got = geo._qp_project(A, b, z)
+    assert (got is None) == (ref is None)
+    if ref is None:
+        return
+    y, lam = np.array(got[0]), np.array(got[1])
+    assert np.abs(y - ref[0]).max() <= 1e-12 * (1.0 + float(np.linalg.norm(z)))
+    assert lam.min() >= 0.0
+    if not _unique_multipliers(A, b, ref[0]):
+        lam, ref = np.array(A).T @ lam, (ref[0], np.array(A).T @ ref[1])
+    assert np.abs(lam - ref[1]).max() <= 1e-9 * max(1.0, float(np.abs(ref[1]).max()))
+
+
+@st.composite
+def _curvatures(draw):
+    """(fields, lam, models): up to three leaves with constant symmetric
+    second partials, their multipliers (some zero) and model rows."""
+    n = draw(st.sampled_from([2, 3]))
+    fields, lam, models = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        h = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n)))
+        h = (h.reshape(n, n) + h.reshape(n, n).T) / 2.0
+        fields.append(fl.ScalarField(n, lambda x: 0.0, hess=lambda x, _h=h: _h.copy()))
+        lam.append(draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0))))
+        models.append([[(draw(st.lists(_COEF, min_size=n, max_size=n)), 0.0)]])
+    return fields, lam, models
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_curvatures(), st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_curvature_factor_and_solves_match_numpy(curvature, w):
+    fields, lam, models = curvature
+    n = fields[0].n
+    y = np.zeros(n)
+    ref = _curvature_factor_ref(fields, np.array(lam), y,
+                                [[[(np.array(g), c) for g, c in alt] for alt in m]
+                                 for m in models])
+    L = geo._curvature_factor(fields, lam, y, models)
+    assert (L is None) == (ref is None)
+    if ref is None:
+        return
+    Lf = np.array([row + [0.0] * (n - len(row)) for row in L])
+    assert np.abs(Lf - ref).max() <= 1e-12 * float(np.abs(ref).max())
+    w = w[:n]
+    for mine, theirs in ((geo._solve_lower(L, w), np.linalg.solve(ref, w)),
+                         (geo._solve_upper(L, w), np.linalg.solve(ref.T, w))):
+        assert np.abs(np.array(mine) - theirs).max() <= 1e-9 * (1.0 + float(np.abs(theirs).max()))
+
+
+@pytest.mark.parametrize("text", [
+    # the gradient vanishes at the start x = 0: the step's QP has a zero row
+    "(x1^2 + x2^2 - 1)^2",
+    # the first step lands on (0, 1) with multiplier 1, where the
+    # Lagrangian's Hessian I + diag(-1, 0) has a zero pivot for every rho
+    "1 - x1^2/2 - x2",
+])
+def test_degenerate_steps_do_not_raise_out_of_project(text):
+    S = geo.SetDescription(2, _expr_leaf(text))
+    y, d = geo.project(S, [0.0, 0.0])
+    assert d == pytest.approx(1.0, abs=1e-4)
+
+
+def test_zero_pivot_moves_along_the_rho_ladder():
+    f = _expr_leaf("1 - x1^2/2 - x2").constraint
+    models = [geo._leaf_models(f, np.array([0.0, 1.0]), 0.0)]
+    assert geo._curvature_factor([f], [1.0], np.array([0.0, 1.0]), models) is None
+    assert geo._cholesky([[0.0, 0.0], [0.0, 1.0]]) is None
 
 
 # ---------------------------------------------------------------------------

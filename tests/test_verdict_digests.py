@@ -7,7 +7,8 @@ caller settings (they became module constants with unchanged values), so
 the digests hold on both sides of that change.
 
 Digests marked "re-recorded" changed when exact small solvers replaced
-SLSQP in the projections, or when its fallback was retired, after their
+SLSQP in the projections, when its fallback was retired, or when the
+Lagrange-Newton loop moved from numpy calls to Python floats, after their
 whole verdicts were compared with the earlier ones: the same statuses, check names, flags, witness kinds and
 counts, and evaluation counts; the largest difference in a number is noted
 beside each (cone ratios within CONE_TOL, everything else within 1e-7,
@@ -54,14 +55,16 @@ DIGESTS = [
      # where SLSQP stopped up to 6.2e-7 away
      "515faa6bf1ff09ba7f86f6d21fda71ae9a383b4c58cd30ec9ab3dbf170e8385d"),
     ("exp1", "invariance", {"mode": "prop3"},  # no_violation_found, 9 evaluations;
-     # re-recorded, 2.7e-10
-     "161aa6faa8a4996ea2ce46ccf65c18921c7a78ec624ba36b4e2f74e823313af7"),
+     # re-recorded, 2.7e-10; re-recorded on floats, 3.7e-40 (a point's x2 near 0)
+     "308d916d2851051249322d5b09c46ba0e6fb211628e27feb2844f5ada0dbe3fc"),
     ("expCsets", "contract-complete", {},  # no_violation_found, 8 evaluations;
      # re-recorded: the points where D's strict leaf vanishes are now projections
-     # onto its zero set, (-1, -1) to 3e-12, where SLSQP stopped 3.1e-5 away
-     "a2beee20f94a20ad310bcf8d841ee1017a3a02dd7d928b679592986e3a6963ba"),
-    ("exp1nwbis", "external", {},  # no_violation_found, 180 evaluations; re-recorded, 1.1e-10
-     "7a705f94193402694e724dd6db986f93e1d648422e641edb107556d1626a7d50"),
+     # onto its zero set, (-1, -1) to 3e-12, where SLSQP stopped 3.1e-5 away;
+     # re-recorded on floats, 1.1e-16
+     "0d7caef3c3c4775c03836646bf2278ccd86ee82f258683327b3b944b03b7c1ec"),
+    ("exp1nwbis", "external", {},  # no_violation_found, 180 evaluations; re-recorded, 1.1e-10;
+     # re-recorded on floats, 1.7e-14 (an external-cone ratio)
+     "426de17b86c2d3b5c636ed0b69944e40bcf124cbde93d1e87d9000440e4e3b90"),
 ]
 
 
