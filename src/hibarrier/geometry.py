@@ -13,7 +13,7 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -404,16 +404,31 @@ def _newton_feasibility(leaves: Sequence[Leaf], y: np.ndarray, iters: int = 25,
 # The kernels of the Lagrange-Newton loop run on lists of floats: vectors
 # have 2 or 3 entries, where numpy's cost per call outweighs the arithmetic.
 # Their sums round as Python's, not as BLAS's fused multiply-adds, so they
-# agree with numpy's results to rounding, not bit for bit.
+# agree with numpy's results to rounding, not bit for bit. Each sum starts
+# from 0.0 and adds its terms left to right in a loop; the kernels called
+# most (`_dot`, the substitutions, Gram-Schmidt) also write it out for
+# 2-vectors. That is what Python 3.11's builtin sum computed here before (it
+# starts from the int 0, and 0 + p is 0.0 + p), so the answers keep their
+# bits; and no sum goes through the builtin, whose float algorithm is
+# compensated from Python 3.12 on. A sum of no terms is left out where it
+# was subtracted, as p - 0.0 is p.
 
 
 def _dot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum([p * q for p, q in zip(a, b)])
+    if len(a) == 2:
+        return 0.0 + a[0] * b[0] + a[1] * b[1]
+    s = 0.0
+    for p, q in zip(a, b):
+        s += p * q
+    return s
 
 
 def _sqdist(a: Sequence[float], b: Sequence[float]) -> float:
     """|a - b|^2."""
-    return sum([(p - q) * (p - q) for p, q in zip(a, b)])
+    s = 0.0
+    for p, q in zip(a, b):
+        s += (p - q) * (p - q)
+    return s
 
 
 def _cholesky(M: list[list[float]]) -> list[list[float]] | None:
@@ -424,8 +439,15 @@ def _cholesky(M: list[list[float]]) -> list[list[float]] | None:
     for i, Mi in enumerate(M):
         row: list[float] = []
         for k in range(i):
-            row.append((Mi[k] - sum([row[j] * L[k][j] for j in range(k)])) / L[k][k])
-        s = Mi[i] - sum([v * v for v in row])
+            Lk = L[k]
+            s = 0.0
+            for j in range(k):
+                s += row[j] * Lk[j]
+            row.append((Mi[k] - s) / Lk[k])
+        s = 0.0
+        for v in row:
+            s += v * v
+        s = Mi[i] - s
         if not s > 0.0:
             return None
         row.append(math.sqrt(s))
@@ -436,18 +458,30 @@ def _cholesky(M: list[list[float]]) -> list[list[float]] | None:
 def _solve_lower(L: list[list[float]], w: Sequence[float]) -> list[float]:
     """x with L x = w, for L lower triangular, as rows, with a nonzero
     diagonal (forward substitution)."""
+    if len(L) == 2:
+        x0 = w[0] / L[0][0]
+        return [x0, (w[1] - (0.0 + L[1][0] * x0)) / L[1][1]]
     x: list[float] = []
     for i, row in enumerate(L):
-        x.append((w[i] - sum([row[k] * x[k] for k in range(i)])) / row[i])
+        s = 0.0
+        for k in range(i):
+            s += row[k] * x[k]
+        x.append((w[i] - s) / row[i])
     return x
 
 
 def _solve_upper(L: list[list[float]], w: Sequence[float]) -> list[float]:
     """x with L^T x = w, for L as in `_solve_lower` (back substitution)."""
+    if len(L) == 2:
+        x1 = w[1] / L[1][1]
+        return [(w[0] - (0.0 + L[1][0] * x1)) / L[0][0], x1]
     n = len(L)
     x = [0.0] * n
     for i in reversed(range(n)):
-        x[i] = (w[i] - sum([L[k][i] * x[k] for k in range(i + 1, n)])) / L[i][i]
+        s = 0.0
+        for k in range(i + 1, n):
+            s += L[k][i] * x[k]
+        x[i] = (w[i] - s) / L[i][i]
     return x
 
 
@@ -457,6 +491,14 @@ def _orthogonalized(Q: list[list[float]], a: Sequence[float]
     v = a - sum_j c_j Q_j of a orthogonal to them, by modified Gram-Schmidt
     taken twice, so that v stays orthogonal where a nearly depends on Q."""
     c = [0.0] * len(Q)
+    if len(a) == 2:
+        v0, v1 = a
+        for _ in range(2):
+            for j, (q0, q1) in enumerate(Q):
+                s = 0.0 + q0 * v0 + q1 * v1
+                c[j] += s
+                v0, v1 = v0 - s * q0, v1 - s * q1
+        return c, [v0, v1]
     v = list(a)
     for _ in range(2):
         for j, q in enumerate(Q):
@@ -553,10 +595,13 @@ def _qp_project(A: list[Sequence[float]], b: list[float], z: Sequence[float]
 
 def _violation(fields: list[ScalarField], y: np.ndarray) -> float:
     """sum_j max(c_j(y), 0); inf where a leaf cannot be evaluated."""
+    s = 0.0
     try:
-        return sum(max(f.value_checked(y), 0.0) for f in fields)
+        for f in fields:
+            s += max(f.value_checked(y), 0.0)
     except EvaluationError:
         return math.inf
+    return s
 
 
 Row = tuple[list[float], float]  # a linear model c + g u <= 0 of a leaf, as (g, c)
@@ -622,8 +667,12 @@ def _curvature_factor(fields: list[ScalarField], lam: list[float], y: np.ndarray
     if not curved:
         return None
     n = len(y)
-    H = [[(1.0 if i == k else 0.0) + sum([lj * h[i][k] for lj, h in curved])
-          for k in range(n)] for i in range(n)]
+    S = [[0.0] * n for _ in range(n)]
+    for lj, h in curved:
+        for Si, hi in zip(S, h):
+            for k, hik in enumerate(hi):
+                Si[k] += lj * hik
+    H = [[(1.0 if i == k else 0.0) + v for k, v in enumerate(Si)] for i, Si in enumerate(S)]
     if not all(math.isfinite(v) for row in H for v in row):
         return None
     GG = None
@@ -748,7 +797,9 @@ def _newton_term(leaves: Sequence[Leaf], z: np.ndarray, y0: np.ndarray) -> np.nd
         if top > 1e6:  # diverging multipliers
             return _feasible(fields, y)
         mu = max(mu, 2.0 * top)
-        excess = sum([max(cj, 0.0) for cj in c])
+        excess = 0.0
+        for cj in c:
+            excess += max(cj, 0.0)
         phi = 0.5 * _dot(w, w) + mu * excess
         slope = -_dot(w, d) - mu * excess
 
@@ -792,13 +843,15 @@ def _feasible(fields: list[ScalarField], y: list[float]) -> np.ndarray | None:
     return ya if max(f.value_checked(ya) for f in fields) <= _FEAS_TOL else None
 
 
-def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: list[np.ndarray]
+def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: Iterable[np.ndarray]
                  ) -> tuple[np.ndarray, float] | None:
     """Closest point to z on the intersection of leaf sublevel sets, or None.
 
     Each start runs Lagrange-Newton; a start it does not converge from, or
     whose leaves cannot be evaluated, is skipped. A term of affine leaves is
-    convex, so it is solved once, exactly, and None proves it empty."""
+    convex, so it is solved once, exactly, and None proves it empty. The
+    starts are taken from `starts` in order, and only as far as they are
+    used."""
     affine = all(leaf.constraint.affine for leaf in leaves)
     best: tuple[np.ndarray, float] | None = None
     stale = 0
@@ -848,6 +901,40 @@ def _local_starts(leaves: Sequence[Leaf], x: np.ndarray) -> list[np.ndarray]:
         return [x.copy()]
 
 
+class _RandomStarts:
+    """`project`'s seed-tagged random starts around x, drawn on demand. Each
+    term is given its share of one stream, `count` starts, as if every share
+    were drawn when the term is reached; a start is drawn only when the term
+    uses it, after the draws of the starts before it in the stream, so that
+    it is the same point. A projection that uses no random start never
+    seeds the stream."""
+
+    def __init__(self, x: np.ndarray, seed: int | tuple) -> None:
+        self.x, self.seed = x, seed
+        self.rng: np.random.Generator | None = None
+        self.scale = 0.0
+        self.drawn = 0   # starts drawn from the stream
+        self.shared = 0  # starts given out to terms
+
+    def share(self, count: int) -> Iterator[np.ndarray]:
+        """The next `count` starts of the stream, each drawn when reached."""
+        first = self.shared
+        self.shared += max(count, 0)
+        return (self._draw(index) for index in range(first, first + count))
+
+    def _draw(self, index: int) -> np.ndarray:
+        if self.rng is None:
+            self.rng = rng_for(self.seed, "project")
+            self.scale = 1.0 + float(np.linalg.norm(self.x))
+        n = len(self.x)
+        while True:  # draws that earlier terms did not use come first
+            radius = self.scale * float(self.rng.uniform(0.05, 1.5))
+            step = self.rng.normal(size=n)
+            self.drawn += 1
+            if self.drawn > index:
+                return self.x + radius * step / np.sqrt(n)
+
+
 def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
             seed: int = 0, warm: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(y, d): a closest point y of S (its closure) to x and d = |x - y|, which
@@ -858,13 +945,14 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
     term whose bound is over 4 d of the best so far. A term of affine leaves
     is an exact QP. Any other term runs Lagrange-Newton from `warm`, x, x's
     Newton restoration onto the term and seed-tagged random points, up to
-    `starts` in all, and stops once two further starts fail to improve.
+    `starts` in all, and stops once two further starts fail to improve; the
+    random points are drawn only when a term reaches them (`_RandomStarts`).
     Raises NonConvergence when no start of any term finds a feasible point."""
     x = np.asarray(x, dtype=float)
     closed = S.closure()
     if closed.classify(x, 0.0) != Membership.OUTSIDE:
         return x.copy(), 0.0
-    rng = rng_for(seed, "project")
+    random_starts = _RandomStarts(x, seed)
     best: tuple[np.ndarray, float] | None = None
     bounds = [(_term_lower_bound(leaves, x), leaves) for leaves in closed._terms]
     for bound, leaves in sorted(bounds, key=lambda pair: pair[0]):
@@ -874,11 +962,8 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
         if warm is not None:
             term_starts.append(np.asarray(warm, dtype=float))
         term_starts.extend(_local_starts(leaves, x))
-        scale = 1.0 + float(np.linalg.norm(x))
-        while len(term_starts) < max(3, starts):
-            radius = scale * float(rng.uniform(0.05, 1.5))
-            term_starts.append(x + radius * rng.normal(size=S.n) / np.sqrt(S.n))
-        got = project_term(leaves, x, term_starts)
+        drawn = random_starts.share(max(3, starts) - len(term_starts))
+        got = project_term(leaves, x, itertools.chain(term_starts, drawn))
         if got is not None and (best is None or got[1] < best[1]):
             best = got
     if best is None:

@@ -209,6 +209,10 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
     max_steps = int(horizon.T / horizon.step * 4) + 8 * horizon.J + 2000
     blocked = False  # flow made no progress at the current state
     recorded = True  # x is a new state of the arc, not yet stop-tested
+    # x's membership in C and D where the test that accepted x already
+    # classified it (None: not yet classified)
+    known_c: bool | None = None
+    known_d: bool | None = None
 
     for steps in range(max_steps + 1):
         if recorded and stop_when is not None and stop_when(x):
@@ -221,11 +225,12 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
             flags.append("step-budget")
             break
         try:
-            in_c = not outside_c(x)
-            in_d = in_d_at(x)
+            in_c = not outside_c(x) if known_c is None else known_c
+            in_d = in_d_at(x) if known_d is None else known_d
         except EvaluationError:
             cause = NUMERICAL_FAILURE
             break
+        known_c = known_d = None
         if not in_c and not in_d:
             cause = LEFT_C_UNION_D
             break
@@ -283,6 +288,10 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
                 break
 
             step: tuple[float, np.ndarray] | None = (h, x_full)
+            # every state the flow can step to below lies in C: x_full when
+            # it is not outside C, the bisection's x_lo and _attempt_feasible_flow's
+            # x_try, each tested so before it is taken
+            known_c = True
             if outside_c(x_full):
                 lo, x_lo, _, _ = _bisect(flow, x, h, x_full, outside_c, _REFINE_TOL)
                 # progress below the membership-tolerance slack is numerical noise,
@@ -291,6 +300,7 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
                     step = (lo, x_lo)
                 elif in_d:
                     blocked = True
+                    known_c, known_d = in_c, in_d  # x stays
                     continue
                 else:
                     step = _attempt_feasible_flow(H, x, h)
@@ -298,10 +308,13 @@ def solve(H: HybridSystem, x0: Sequence[float] | np.ndarray,
                         cause = SOLUTION_DIES
                         flags.append("dies-sampled")
                         break
-            elif policy.overlap.kind == "jump" and not in_d and in_d_at(x_full):
-                _, _, hi, x_hi = _bisect(flow, x, h, x_full, in_d_at, _REFINE_TOL)
-                if hi > 1e-14:
-                    step = (hi, x_hi)
+            elif policy.overlap.kind == "jump" and not in_d:
+                known_d = in_d_at(x_full)
+                if known_d:
+                    _, _, hi, x_hi = _bisect(flow, x, h, x_full, in_d_at, _REFINE_TOL)
+                    if hi > 1e-14:
+                        step = (hi, x_hi)  # in D, as the bisection tested it
+                        known_c = None
             tau, x_new = step
             t += tau
             x = x_new.copy()

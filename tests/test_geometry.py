@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import struct
 import zlib
 
 import numpy as np
@@ -1112,6 +1114,327 @@ def test_zero_pivot_moves_along_the_rho_ladder():
     models = [geo._leaf_models(f, np.array([0.0, 1.0]), 0.0)]
     assert geo._curvature_factor([f], [1.0], np.array([0.0, 1.0]), models) is None
     assert geo._cholesky([[0.0, 0.0], [0.0, 1.0]]) is None
+
+
+# The list-and-sum float kernels that the Newton loop ran on before its sums
+# were written out left to right, kept as references. Python 3.11's builtin
+# sum adds left to right from the int 0, so the kernels must give the same
+# bits; outputs are compared as packed doubles, where -0.0 is not 0.0 and a
+# nan equals a nan. IEEE 754 leaves the sign and payload of a nan result
+# open, and which of two nans an addition returns depends on how the
+# interpreter was compiled (its sum and its float + differ here), so every
+# nan counts as the same.
+
+
+def _dot_ref(a, b):
+    return sum([p * q for p, q in zip(a, b)])
+
+
+def _sqdist_ref(a, b):
+    return sum([(p - q) * (p - q) for p, q in zip(a, b)])
+
+
+def _cholesky_ref(M):
+    L = []
+    for i, Mi in enumerate(M):
+        row = []
+        for k in range(i):
+            row.append((Mi[k] - sum([row[j] * L[k][j] for j in range(k)])) / L[k][k])
+        s = Mi[i] - sum([v * v for v in row])
+        if not s > 0.0:
+            return None
+        row.append(math.sqrt(s))
+        L.append(row)
+    return L
+
+
+def _solve_lower_ref(L, w):
+    x = []
+    for i, row in enumerate(L):
+        x.append((w[i] - sum([row[k] * x[k] for k in range(i)])) / row[i])
+    return x
+
+
+def _solve_upper_ref(L, w):
+    n = len(L)
+    x = [0.0] * n
+    for i in reversed(range(n)):
+        x[i] = (w[i] - sum([L[k][i] * x[k] for k in range(i + 1, n)])) / L[i][i]
+    return x
+
+
+def _orthogonalized_ref(Q, a):
+    c = [0.0] * len(Q)
+    v = list(a)
+    for _ in range(2):
+        for j, q in enumerate(Q):
+            s = _dot_ref(q, v)
+            c[j] += s
+            v = [vi - s * qi for vi, qi in zip(v, q)]
+    return c, v
+
+
+def _violation_ref(fields, y):
+    try:
+        return sum(max(f.value_checked(y), 0.0) for f in fields)
+    except fl.EvaluationError:
+        return math.inf
+
+
+def _curvature_factor_sum_ref(fields, lam, y, models):
+    """The list-and-sum geometry._curvature_factor, through the reference
+    kernels."""
+    curved = [(lj, f.hess(y).tolist()) for f, lj in zip(fields, lam)
+              if lj > 0.0 and f.hess is not None]
+    if not curved:
+        return None
+    n = len(y)
+    H = [[(1.0 if i == k else 0.0) + sum([lj * h[i][k] for lj, h in curved])
+          for k in range(n)] for i in range(n)]
+    if not all(math.isfinite(v) for row in H for v in row):
+        return None
+    GG = None
+    for rho in (0.0, 1.0, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+        M = H
+        if rho:
+            if GG is None:
+                G = [g for m, lj in zip(models, lam) if lj > 0.0 for g, _ in m[0]]
+                G = [[v / s for v in g] for g, s in ((g, math.sqrt(_dot_ref(g, g))) for g in G)
+                     if s > 0.0]
+                GG = [[_dot_ref(gi, gk) for gk in zip(*G)] for gi in zip(*G)] if G \
+                    else [[0.0] * n for _ in range(n)]
+            M = [[h + rho * v for h, v in zip(hs, gs)] for hs, gs in zip(H, GG)]
+        L = _cholesky_ref(M)
+        if L is not None and min(row[i] for i, row in enumerate(L)) >= 1e-3:
+            return L
+    return None
+
+
+_KERNEL_REFS = {"_dot": _dot_ref, "_sqdist": _sqdist_ref, "_cholesky": _cholesky_ref,
+                "_solve_lower": _solve_lower_ref, "_solve_upper": _solve_upper_ref,
+                "_orthogonalized": _orthogonalized_ref}
+
+
+def _with_reference_kernels(call):
+    """call() with geometry's kernels replaced by the list-and-sum ones, so
+    that the QP runs as it did on them."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, ref in _KERNEL_REFS.items():
+            mp.setattr(geo, name, ref)
+        return call()
+
+
+def _bits(value):
+    """A kernel's result as bytes: floats packed as doubles, in order, or the
+    type of the exception it raised."""
+    if isinstance(value, BaseException):
+        return type(value).__name__
+    if value is None:
+        return None
+    if isinstance(value, (int, float)):
+        return b"nan" if math.isnan(value) else struct.pack("<d", value)
+    return tuple(_bits(v) for v in value)
+
+
+def _run(call):
+    try:
+        return call()
+    except (ZeroDivisionError, ValueError, OverflowError, IndexError) as e:
+        return e
+
+
+# every kind of double: signed zeros, infinities, nan, small and large
+_ANY = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0]),
+                 st.floats(-4.0, 4.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _vectors(n, elements=_ANY):
+    return st.lists(elements, min_size=n, max_size=n)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(_vectors(n), _vectors(n),
+                                                    st.lists(_vectors(n), max_size=3),
+                                                    _vectors(n * n), _vectors(n))))
+def test_float_kernels_give_the_bits_of_the_list_and_sum_kernels(args):
+    a, b, Q, m, w = args
+    n = len(a)
+    M = [m[i * n:(i + 1) * n] for i in range(n)]
+    L = [row[:i + 1] for i, row in enumerate(M)]  # lower triangular, as rows
+    for new, ref, inputs in ((geo._dot, _dot_ref, (a, b)), (geo._sqdist, _sqdist_ref, (a, b)),
+                             (geo._cholesky, _cholesky_ref, (M,)),
+                             (geo._solve_lower, _solve_lower_ref, (L, w)),
+                             (geo._solve_upper, _solve_upper_ref, (L, w)),
+                             (geo._orthogonalized, _orthogonalized_ref, (Q, a))):
+        assert _bits(_run(lambda: new(*inputs))) == _bits(_run(lambda: ref(*inputs))), \
+            (new.__name__, inputs)
+
+
+@st.composite
+def _any_qp_systems(draw):
+    """(A, b, z): 0-6 rows in 1-4 dimensions, each new, the opposite or a
+    multiple of an earlier one, or zero, with any doubles in them."""
+    n = draw(st.integers(1, 4))
+    A, b = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["new", "opposite", "multiple", "zero"]) if A
+                    else st.just("new"))
+        if kind == "new":
+            A.append(draw(_vectors(n, st.one_of(_COEF, _ANY))))
+        elif kind == "opposite":
+            A.append([-v for v in draw(st.sampled_from(A))])
+        elif kind == "multiple":
+            k = draw(st.sampled_from([0.5, 2.0, -3.0]))
+            A.append([k * v for v in draw(st.sampled_from(A))])
+        else:
+            A.append([0.0] * n)
+        b.append(draw(st.one_of(st.floats(-1.0, 1.0), _ANY)))
+    return A, b, draw(_vectors(n, st.one_of(st.floats(-3.0, 3.0), _ANY)))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_any_qp_systems())
+def test_qp_project_gives_the_bits_of_the_list_and_sum_kernels(system):
+    A, b, z = system
+    assert _bits(_run(lambda: geo._qp_project(A, b, z))) == \
+        _bits(_run(lambda: _with_reference_kernels(lambda: geo._qp_project(A, b, z))))
+
+
+@settings(max_examples=600, deadline=None)
+@given(_curvatures(), st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_curvature_factor_and_kink_qp_give_the_bits_of_the_list_and_sum_kernels(curvature, w):
+    fields, lam, models = curvature
+    n = fields[0].n
+    y = np.zeros(n)
+    L = geo._curvature_factor(fields, lam, y, models)
+    assert _bits(L) == _bits(_curvature_factor_sum_ref(fields, lam, y, models))
+    step = geo._kink_qp(models, w[:n], L)
+    assert _bits(step) == _bits(_with_reference_kernels(lambda: geo._kink_qp(models, w[:n], L)))
+
+
+def test_violation_gives_the_bits_of_the_list_and_sum_kernel():
+    rng = np.random.default_rng(5)
+    fields = [_expr_leaf(t).constraint for t in ("x1^2 + x2^2 - 1", "x2 - x1", "log(x1)")]
+    for _ in range(200):
+        y = rng.uniform(-2.0, 2.0, size=2)
+        for k in range(1, 4):
+            assert _bits(geo._violation(fields[:k], y)) == _bits(_violation_ref(fields[:k], y))
+
+
+def _neumaier_sum(values, start=0):
+    """Python 3.12's builtin sum over floats: Neumaier's compensated sum."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+def test_kernels_do_not_depend_on_the_builtin_sum(monkeypatch):
+    # compensated, each sum of three or more terms below differs from the
+    # left-to-right one (1e16 + 1 + 1 is 1e16 + 2, not 1e16); a sum of two
+    # terms is the same either way
+    assert _neumaier_sum([1e16, 1.0, 1.0]) == 1e16 + 2.0
+    assert _dot_ref([1e16, 1.0, 1.0], [1.0] * 3) == 1e16
+    ones = [_expr_leaf(t).constraint for t in ("1e16 + 0*x1", "1 + 0*x1", "1 + 0*x2")]
+    calls = [
+        lambda: geo._dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]),
+        lambda: geo._sqdist([1e8, 1.0, 1.0], [0.0, 0.0, 0.0]),
+        lambda: geo._cholesky([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                               [0.0, 0.0, 1.0, 0.0], [1e8, 1.0, 1.0, 1e16 + 4.0]]),
+        lambda: geo._solve_lower([[1.0], [0.0, 1.0], [0.0, 0.0, 1.0], [1e16, 1.0, -1e16, 1.0]],
+                                 [1.0, 1.0, 1.0, 0.0]),
+        lambda: geo._solve_upper([[1.0], [1e16, 1.0], [1.0, 0.0, 1.0], [-1e16, 0.0, 0.0, 1.0]],
+                                 [0.0, 1.0, 1.0, 1.0]),
+        lambda: geo._orthogonalized([[1.0, 1.0, 1.0]], [1e16, 1.0, -1e16]),
+        lambda: geo._violation(ones, np.zeros(2)),
+    ]
+    builtin = [_bits(_run(call)) for call in calls]
+    monkeypatch.setattr(geo, "sum", _neumaier_sum, raising=False)
+    assert [_bits(_run(call)) for call in calls] == builtin
+
+
+# project() against a copy of its former loop, which drew every term's random
+# starts before projecting onto the term
+
+
+def _project_eager_ref(S, x, *, starts=16, seed=0, warm=None):
+    x = np.asarray(x, dtype=float)
+    closed = S.closure()
+    if closed.classify(x, 0.0) != geo.Membership.OUTSIDE:
+        return x.copy(), 0.0
+    rng = geo.rng_for(seed, "project")
+    best = None
+    bounds = [(geo._term_lower_bound(leaves, x), leaves) for leaves in closed._terms]
+    for bound, leaves in sorted(bounds, key=lambda pair: pair[0]):
+        if best is not None and bound > 4.0 * best[1] + 1e-12:
+            continue
+        term_starts = []
+        if warm is not None:
+            term_starts.append(np.asarray(warm, dtype=float))
+        term_starts.extend(geo._local_starts(leaves, x))
+        scale = 1.0 + float(np.linalg.norm(x))
+        while len(term_starts) < max(3, starts):
+            radius = scale * float(rng.uniform(0.05, 1.5))
+            term_starts.append(x + radius * rng.normal(size=S.n) / np.sqrt(S.n))
+        got = geo.project_term(leaves, x, term_starts)
+        if got is not None and (best is None or got[1] < best[1]):
+            best = got
+    if best is None:
+        raise geo.NonConvergence(f"no feasible point found for {S.name or 'set'} near {x.tolist()}")
+    return best
+
+
+def test_project_draws_the_starts_of_the_eager_loop_on_catalog_sets():
+    from hibarrier.catalog import EXAMPLE_IDS, example_bundle
+    from hibarrier.model import build_k_complex
+
+    rng = np.random.default_rng(15)
+    projected = 0
+    for name in EXAMPLE_IDS:
+        b = example_bundle(name)
+        kc = build_k_complex(b.system, b.barrier)
+        wide = b.box + np.array([-0.5, 0.5])
+        for S in (kc.K, kc.K_e, kc.KC, b.system.C, b.system.D):
+            for x in geo._box_draws(rng, wide, 6):
+                starts, seed = int(rng.integers(1, 17)), int(rng.integers(0, 1000))
+                for warm in (None, geo._box_draws(rng, b.box, 1)[0]):
+                    new = _outcome(lambda: geo.project(S, x, starts=starts, seed=seed, warm=warm))
+                    ref = _outcome(lambda: _project_eager_ref(S, x, starts=starts, seed=seed,
+                                                              warm=warm))
+                    assert new == ref, (name, S.name, x, starts, seed, warm)
+                    projected += S.closure().classify(x, 0.0) == geo.Membership.OUTSIDE
+    assert projected >= 200
+
+
+def test_a_cone_sweep_that_reaches_no_random_start_never_seeds_the_stream(monkeypatch):
+    # on expcount's K cap C, every projection of the sweep from (-0.5, 0)
+    # along (0, 1) starts warm from the previous one, and two of its first
+    # three starts agree, so the stale rule stops before a random start
+    from hibarrier.catalog import example_bundle
+    from hibarrier.model import build_k_complex
+
+    b = example_bundle("expcount")
+    S = build_k_complex(b.system, b.barrier).KC
+    tags = []
+
+    def recorded(seed, tag):
+        tags.append(tag)
+        return rng_for(seed, tag)
+
+    rng_for = geo.rng_for
+    monkeypatch.setattr(geo, "rng_for", recorded)
+    x, v = np.array([-0.5, 0.0]), np.array([0.0, 1.0])
+    ratio = geo.external_min_ratio(S, x, v, seed=0)
+    assert ratio == pytest.approx(1.0, abs=1e-9)  # every x + h v lies outside
+    assert "project" not in tags
+    # a cold projection does reach its random starts
+    geo.contingent_min_ratio(S, x, v, seed=0)
+    assert tags.count("project") == 1
 
 
 # ---------------------------------------------------------------------------
