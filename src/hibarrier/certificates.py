@@ -60,6 +60,9 @@ class CheckConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.radius, self.band, self.tol_eq,
+                                              self.margin_strict)):
+            raise geo.PreconditionError("radius, band, tol_eq and margin_strict must be finite")
         if not (self.radius > self.band > 0):
             raise geo.PreconditionError("need radius > band > 0")
         if self.samples < 1 or self.margin_strict <= 0:
@@ -182,8 +185,8 @@ class UniquenessFunction:
     def __post_init__(self):
         if self.kind not in ("linear", "osgood"):
             raise geo.PreconditionError(f"unknown uniqueness function {self.kind!r}")
-        if self.kind == "linear" and not self.k > 0:
-            raise geo.PreconditionError("linear uniqueness function needs k > 0")
+        if self.kind == "linear" and not 0 < self.k < math.inf:
+            raise geo.PreconditionError("linear uniqueness function needs a finite k > 0")
 
     def __call__(self, w: float) -> float:
         if self.kind == "linear":
@@ -254,16 +257,17 @@ def _jump_legs(col: _Collector, kc: KComplex, H: HybridSystem, cfg: CheckConfig,
 
 
 def _tangent_ratio(S: geo.SetDescription, x: np.ndarray, eta: np.ndarray,
-                   cfg: CheckConfig, col: _Collector) -> float | None:
-    """0.0 for an analytic member, a measured liminf ratio otherwise;
-    None when the distance solver fails (marked inconclusive).
+                   cone: list[np.ndarray] | None, cfg: CheckConfig,
+                   col: _Collector) -> float | None:
+    """0.0 when eta lies in cone, the caller's geo.linearized_cone(S, x), and a
+    measured liminf ratio otherwise; None when the distance solver fails
+    (marked inconclusive).
 
-    An analytic NonMember is re-confirmed numerically: at sampled points the
+    A linearized non-member is re-confirmed numerically: at sampled points the
     active-constraint tolerance can attribute a boundary cone to a point that
     is actually interior.
     """
-    verdict = geo.contingent_cone_member_analytic(S, x, eta)
-    if verdict == geo.ConeVerdict.MEMBER:
+    if cone is not None and not any(float(g @ eta) > 0.0 for g in cone):
         return 0.0
     try:
         col.flag("distance-approximate")
@@ -271,6 +275,19 @@ def _tangent_ratio(S: geo.SetDescription, x: np.ndarray, eta: np.ndarray,
     except geo.NonConvergence:
         col.mark_inconclusive(f"tangent-cone distance solve failed at {x.tolist()}")
         return None
+
+
+def _corner_ratios(col: _Collector, kc: KComplex, H: HybridSystem, cfg: CheckConfig,
+                   condition: str, pts: list[np.ndarray]) -> None:
+    """The tangent-cone ratio of K cap C at each point for every sampled eta
+    in F(x), with the linearized cone computed once per point."""
+    for x in pts:
+        etas = image_samples(H.F, x, cfg.scheme)
+        cone = geo.linearized_cone(kc.KC, x)
+        for eta in etas:
+            ratio = _tangent_ratio(kc.KC, x, eta, cone, cfg, col)
+            if ratio is not None:
+                col.add(condition, x, min(ratio, 1e6), geo.CONE_TOL, eta=eta)
 
 
 def _active_components(B: BarrierCandidate, x: np.ndarray, cfg: CheckConfig) -> list[int]:
@@ -383,17 +400,13 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
             tv = geo.transversality_check(grads, margin=cfg.margin_strict)
             col.add("boundary:a:transversality", x, tv.best, -cfg.margin_strict)
             for eta in image_samples(H.F, x, cfg.scheme):
-                for i in active:
-                    val = float(gradient(B.components[i], x) @ eta)
-                    col.add(f"boundary:a:flow:B{i + 1}", x, val, cfg.tol_eq, eta=eta)
+                for i, g in zip(active, grads):
+                    col.add(f"boundary:a:flow:B{i + 1}", x, float(g @ eta), cfg.tol_eq,
+                            eta=eta)
     elif option == "b":
-        for x in regions.region_b(kc, H, box, cfg.samples, cfg.radius, cfg.band,
-                                  seed=cfg.seed):
-            for eta in image_samples(H.F, x, cfg.scheme):
-                ratio = _tangent_ratio(kc.KC, x, eta, cfg, col)
-                if ratio is None:
-                    continue
-                col.add("boundary:b:eqraj2", x, min(ratio, 1e6), geo.CONE_TOL, eta=eta)
+        _corner_ratios(col, kc, H, cfg, "boundary:b:eqraj2",
+                       regions.region_b(kc, H, box, cfg.samples, cfg.radius, cfg.band,
+                                        seed=cfg.seed))
     else:
         c_pts = geo.sample(H.C, box, 2 * cfg.samples, seed=cfg.seed).points[:40]
         mid = _first_outside_midpoint(H.C, list(itertools.combinations(c_pts, 2)))
@@ -409,12 +422,7 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
                 col.flag("empty-leg:boundary:c")
                 col.note("boundary:c: no sampled anchor lies in K_e cap C near dC; "
                          "the corner condition was not evaluated")
-            for x in anchors:
-                for eta in image_samples(H.F, x, cfg.scheme):
-                    ratio = _tangent_ratio(kc.KC, x, eta, cfg, col)
-                    if ratio is None:
-                        continue
-                    col.add("boundary:c:eqraj2", x, min(ratio, 1e6), geo.CONE_TOL, eta=eta)
+            _corner_ratios(col, kc, H, cfg, "boundary:c:eqraj2", anchors)
 
     _jump_legs(col, kc, H, cfg, strict=False, prefix="boundary")
     return col.finish(f"boundary:{option}", cfg)
@@ -560,8 +568,10 @@ def _completion_leg(kc: KComplex, H: HybridSystem, cfg: CheckConfig, col: _Colle
 
     def min_ratio(p: np.ndarray) -> float | None:
         best: float | None = None
-        for eta in image_samples(H.F, p, cfg.scheme):
-            r = _tangent_ratio(S, p, eta, cfg, col)
+        etas = image_samples(H.F, p, cfg.scheme)
+        cone = geo.linearized_cone(S, p)
+        for eta in etas:
+            r = _tangent_ratio(S, p, eta, cone, cfg, col)
             if r is None:
                 continue
             best = r if best is None else min(best, r)
@@ -619,7 +629,7 @@ def _corner_emptiness_leg(col: _Collector, kc: KComplex, H: HybridSystem,
         # the active-constraint description of dC cap dK
         active = ([leaf.constraint for leaf in H.C.leaves()
                    if abs(float(leaf.constraint.value_checked(x))) <= eps]
-                  + [comp for comp in kc.barrier.components if abs(float(comp.fn(x))) <= eps])
+                  + [kc.barrier.components[i] for i in _active_components(kc.barrier, x, cfg)])
         grads = [gradient(c, x) for c in active]
         eq_set = geo.SetDescription(kc.n, geo.Intersection(tuple(
             geo.Leaf(f) for c in active for f in (c, negated(c)))), name="dC_cap_dK")

@@ -189,11 +189,7 @@ def cmd_simulate(args) -> int:
                           f"parameters; the system has {k}")
     policy = sim.SelectionPolicy(flow_rule, jump_rule, _parse_overlap(args.overlap))
     horizon = _parse_horizon(args.horizon, args.step)
-    try:
-        arc = sim.solve(bundle.system, x0, policy, horizon, kc=kc, seed=args.seed)
-    except geo.PreconditionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    arc = sim.solve(bundle.system, x0, policy, horizon, kc=kc, seed=args.seed)
     csv_text = sim.arc_to_csv(arc, bundle.barrier)
     if args.out:
         Path(args.out).write_text(csv_text)

@@ -28,7 +28,6 @@ class SystemBundle:
     box: np.ndarray
     expected: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -161,11 +160,10 @@ def system_from_dict(doc: dict, source: str = "<dict>") -> SystemBundle:
         raise ConfigError(f"{source}: 'box' must be {n} finite pairs [lo, hi] with lo < hi")
 
     system = HybridSystem(n=n, C=C, F=F, D=D, G=G,
-                          name=str(doc.get("name", source)), constants=constants)
+                          name=str(doc.get("name", source)))
     return SystemBundle(system=system, barrier=barrier, box=box,
                         expected=doc.get("expected", {}),
-                        notes=[str(s) for s in doc.get("notes", [])],
-                        raw=doc)
+                        notes=[str(s) for s in doc.get("notes", [])])
 
 
 def load_system(path: str | Path) -> SystemBundle:

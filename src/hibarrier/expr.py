@@ -37,7 +37,6 @@ __all__ = [
     "lazy",
     "differentiate",
     "depends_on",
-    "to_text",
 ]
 
 
@@ -746,50 +745,4 @@ def differentiate(ast: Ast, var_index: int,
             if _is_zero(da):
                 return Lit(0.0)
             return _mul(_mul(Lit(c), _pow(ast.left, c - 1.0)), da)
-    raise TypeError(f"not an Ast node: {ast!r}")
-
-
-# ---------------------------------------------------------------------------
-# Pretty printer (round-trips through parse to a structurally identical Ast)
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_text(ast: Ast) -> str:
-    return _print(ast, 0)
-
-
-def _print(ast: Ast, parent_prec: int) -> str:
-    if isinstance(ast, Lit):
-        v = ast.value
-        if v == int(v) and abs(v) < 1e15:
-            text = str(int(v))
-        else:
-            text = repr(v)
-        if v < 0:
-            return f"({text})" if parent_prec > 0 else text
-        return text
-    if isinstance(ast, Var):
-        return f"x{ast.index + 1}"
-    if isinstance(ast, Param):
-        return f"p{ast.index + 1}"
-    if isinstance(ast, Const):
-        return ast.name
-    if isinstance(ast, Un):
-        if ast.op == "neg":
-            inner = _print(ast.arg, _PREC["neg"])
-            text = f"-{inner}"
-            return f"({text})" if parent_prec > _PREC["neg"] else text
-        return f"{ast.op}({_print(ast.arg, 0)})"
-    if isinstance(ast, Bin):
-        if ast.op in ("min", "max"):
-            return f"{ast.op}({_print(ast.left, 0)}, {_print(ast.right, 0)})"
-        prec = _PREC[ast.op]
-        left = _print(ast.left, prec)
-        # left-associative ops need parens on an equal-precedence right child
-        right = _print(ast.right, prec + (0 if ast.op == "^" else 1))
-        text = f"{left} {ast.op} {right}" if ast.op in "+-" else f"{left}{ast.op}{right}"
-        if parent_prec > prec:
-            return f"({text})"
-        return text
     raise TypeError(f"not an Ast node: {ast!r}")

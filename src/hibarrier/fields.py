@@ -253,7 +253,8 @@ def filter_by_cone(etas: Iterable[np.ndarray], S,
     """Keep directions with contingent membership in T_S(x).
 
     Interior points keep everything (the cone is all of R^n there); otherwise
-    the analytic test is used where applicable with a numeric fallback.
+    the linearized cone, computed once at x, decides where it applies, and a
+    numeric sweep at seed 0 decides each direction where it does not.
     """
     from . import geometry  # local import to keep module layering acyclic
 
@@ -263,12 +264,8 @@ def filter_by_cone(etas: Iterable[np.ndarray], S,
         return []
     if S.classify(x, 1e-9) == geometry.Membership.INSIDE:
         return list(etas)
-    kept = []
-    for eta in etas:
-        verdict = geometry.contingent_cone_member_analytic(S, x, eta)
-        if verdict == geometry.ConeVerdict.NOT_APPLICABLE:
-            if geometry.contingent_min_ratio(S, x, eta) <= geometry.CONE_TOL:
-                kept.append(eta)
-        elif verdict == geometry.ConeVerdict.MEMBER:
-            kept.append(eta)
-    return kept
+    cone = geometry.linearized_cone(S, x)
+    if cone is None:
+        return [eta for eta in etas
+                if geometry.contingent_min_ratio(S, x, eta) <= geometry.CONE_TOL]
+    return [eta for eta in etas if not any(float(g @ eta) > 0.0 for g in cone)]

@@ -22,7 +22,6 @@ from .fields import EvaluationError, ScalarField, gradient
 
 __all__ = [
     "Membership",
-    "ConeVerdict",
     "NonConvergence",
     "PreconditionError",
     "Leaf",
@@ -34,9 +33,8 @@ __all__ = [
     "project",
     "minkowski",
     "transversality_check",
-    "contingent_cone_member_analytic",
+    "linearized_cone",
     "contingent_min_ratio",
-    "dm_cone_member",
     "external_min_ratio",
     "sample",
     "sample_boundary",
@@ -48,12 +46,6 @@ class Membership(enum.Enum):
     INSIDE = "inside"
     BOUNDARY = "boundary"
     OUTSIDE = "outside"
-
-
-class ConeVerdict(enum.Enum):
-    MEMBER = "member"
-    NON_MEMBER = "non_member"
-    NOT_APPLICABLE = "not_applicable"
 
 
 class NonConvergence(RuntimeError):
@@ -338,9 +330,6 @@ class SetDescription:
 
     def leaves(self) -> list[Leaf]:
         return _tree_leaves(self.root, (Intersection, Union))
-
-    def intersect(self, other: "SetDescription", name: str = "") -> "SetDescription":
-        return SetDescription(self.n, Intersection((self.root, other.root)), name)
 
     def flat_intersection_leaves(self) -> list[Leaf] | None:
         """Leaves when the tree is a pure intersection (no unions), else None."""
@@ -1168,73 +1157,29 @@ def transversality_check(gradients: Sequence[np.ndarray], *,
     return Transversality(feasible, -p / pn if feasible else None, -pn if pn else 0.0)
 
 
-def _active_leaves(S: SetDescription, x: np.ndarray) -> tuple[list[Leaf], bool] | None:
-    """(active leaves, any_outside) for pure intersections; None for unions."""
+def linearized_cone(S: SetDescription, x: Sequence[float] | np.ndarray) -> list[np.ndarray] | None:
+    """The gradients of the leaves of S active at x (|c(x)| <= EPS_ACT), [] when
+    none is active: when they are transversal, T_S(x) is the set of v with no
+    float(g @ v) > 0.0 (all of R^n for []). None where this reading is not
+    available: S has a union, a leaf is above EPS_ACT at x, or the active
+    gradients fail transversality_check. Leaves are evaluated in tree order
+    up to the first one above EPS_ACT.
+    """
     leaves = S.flat_intersection_leaves()
     if leaves is None:
         return None
+    x = np.asarray(x, dtype=float)
     active: list[Leaf] = []
     for leaf in leaves:
         v = leaf.constraint.value_checked(x)
         if v > EPS_ACT:
-            return active, True
+            return None
         if abs(v) <= EPS_ACT:
             active.append(leaf)
-    return active, False
-
-
-def contingent_cone_member_analytic(S: SetDescription, x: Sequence[float] | np.ndarray,
-                                    v: Sequence[float] | np.ndarray) -> ConeVerdict:
-    """Gradient test for T_S(x) on intersections of smooth sublevel leaves.
-
-    Member iff <grad c_j(x), v> <= 0 for every active j; NotApplicable when the
-    tree contains unions or the active gradients fail transversality.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    got = _active_leaves(S, x)
-    if got is None:
-        return ConeVerdict.NOT_APPLICABLE
-    active, outside = got
-    if outside:
-        return ConeVerdict.NOT_APPLICABLE
-    if not active:
-        return ConeVerdict.MEMBER
     grads = [gradient(leaf.constraint, x) for leaf in active]
-    if not transversality_check(grads).feasible:
-        return ConeVerdict.NOT_APPLICABLE
-    for g in grads:
-        if float(g @ v) > 0.0:
-            return ConeVerdict.NON_MEMBER
-    return ConeVerdict.MEMBER
-
-
-def dm_cone_member(S: SetDescription, x: Sequence[float] | np.ndarray,
-                   v: Sequence[float] | np.ndarray) -> ConeVerdict:
-    """Gradient test for the interior-directions cone D_int(S)(x).
-
-    Member iff <grad c_j(x), v> < -1e-8 for every active j. Needs nonzero
-    active gradients (not joint transversality: opposed nonzero gradients are
-    a legitimate NonMember).
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    got = _active_leaves(S, x)
-    if got is None:
-        return ConeVerdict.NOT_APPLICABLE
-    active, outside = got
-    if outside:
-        return ConeVerdict.NOT_APPLICABLE
-    if not active:
-        return ConeVerdict.MEMBER
-    grads = [gradient(leaf.constraint, x) for leaf in active]
-    for g in grads:
-        if float(np.linalg.norm(g)) <= 1e-12:
-            return ConeVerdict.NOT_APPLICABLE
-    for g in grads:
-        if float(g @ v) >= -1e-8:
-            return ConeVerdict.NON_MEMBER
-    return ConeVerdict.MEMBER
+    if grads and not transversality_check(grads).feasible:
+        return None
+    return grads
 
 
 def _min_ratio(S: SetDescription, x: np.ndarray, v: np.ndarray, seed: int, d0: float,

@@ -1,5 +1,5 @@
 """Hybrid inclusions H = (C, F, D, G), barrier candidates, the induced set K
-with its derived sets, hybrid time domains, and solution-candidate validation."""
+with its derived sets, hybrid arcs, and solution-candidate validation."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from .fields import C1, LIPSCHITZ, Grid, ScalarField, SetValuedMap, image_sample
 __all__ = [
     "HybridSystem",
     "BarrierCandidate",
-    "HybridTimeDomain",
     "ArcInterval",
     "HybridArc",
     "KComplex",
@@ -43,7 +42,6 @@ class HybridSystem:
     D: geo.SetDescription
     G: SetValuedMap
     name: str = ""
-    constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.C.n == self.D.n == self.F.n == self.G.n == self.n):
@@ -88,29 +86,7 @@ class BarrierCandidate:
 
 
 # ---------------------------------------------------------------------------
-# Hybrid time domains and arcs
-
-
-@dataclass(frozen=True)
-class HybridTimeDomain:
-    """Jump times 0 = t_0 <= t_1 <= ... <= t_{J+1}."""
-
-    times: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.times) < 2 or self.times[0] != 0.0:
-            raise ValueError("domain needs t_0 = 0 and at least one interval")
-        if any(b < a for a, b in zip(self.times, self.times[1:])):
-            raise ValueError("jump times must be nondecreasing")
-
-    @property
-    def jumps(self) -> int:
-        return len(self.times) - 2
-
-    @property
-    def degenerate(self) -> tuple[bool, ...]:
-        """Per-interval flag for zero-length flow intervals [t_j, t_j]."""
-        return tuple(b == a for a, b in zip(self.times, self.times[1:]))
+# Hybrid arcs
 
 
 @dataclass
@@ -142,10 +118,6 @@ class HybridArc:
             for t, x in zip(interval.times, interval.states):
                 yield t, interval.j, x
 
-    def domain(self) -> HybridTimeDomain:
-        times = [0.0] + [iv.times[-1] for iv in self.intervals]
-        return HybridTimeDomain(tuple(times))
-
     @property
     def start(self) -> np.ndarray:
         return self.intervals[0].states[0]
@@ -166,7 +138,6 @@ class KComplex:
     barrier: BarrierCandidate
     K: geo.SetDescription
     K_e: geo.SetDescription
-    K_ei: tuple[geo.SetDescription, ...]
     CuD: geo.SetDescription
     KC: geo.SetDescription  # K cap C, simplified to K_e cap C (C is inside C u D)
     KD: geo.SetDescription  # K cap D = K_e cap D
@@ -222,17 +193,13 @@ def build_k_complex(H: HybridSystem, B: BarrierCandidate) -> KComplex:
     n = H.n
     if any(c.n != n for c in B.components):
         raise ValueError("barrier arity does not match the system")
-    k_ei = tuple(
-        geo.SetDescription(n, geo.Leaf(c), name=f"K_e{i + 1}")
-        for i, c in enumerate(B.components)
-    )
     k_e = geo.SetDescription(n, geo.Intersection(tuple(geo.Leaf(c) for c in B.components)),
                              name="K_e")
     cud = geo.SetDescription(n, geo.Union((H.C.root, H.D.root)), name="CuD")
     k = geo.SetDescription(n, geo.Intersection((k_e.root, cud.root)), name="K")
     kc = geo.SetDescription(n, geo.Intersection((k_e.root, H.C.root)), name="KcapC")
     kd = geo.SetDescription(n, geo.Intersection((H.D.root, k_e.root)), name="KcapD")
-    return KComplex(n=n, barrier=B, K=k, K_e=k_e, K_ei=k_ei, CuD=cud, KC=kc, KD=kd,
+    return KComplex(n=n, barrier=B, K=k, K_e=k_e, CuD=cud, KC=kc, KD=kd,
                     bar=B.scalarized())
 
 

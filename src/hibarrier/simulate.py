@@ -104,8 +104,8 @@ class Horizon:
     step: float = 1e-3
 
     def __post_init__(self):
-        if self.T < 0 or self.J < 0 or self.step <= 0:
-            raise ValueError("need T >= 0, J >= 0, step > 0")
+        if not (0 <= self.T < math.inf and self.J >= 0 and 0 < self.step < math.inf):
+            raise ValueError("need finite T >= 0, J >= 0 and finite step > 0")
 
 
 def default_policy_pool() -> tuple[SelectionPolicy, ...]:
@@ -444,8 +444,8 @@ def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
                         starts: Sequence[np.ndarray] | None = None) -> ProbeResult:
     """From dK starts, test immediate entry of max_i B_i below -_ENTRY_MARGIN
     after the first nontrivial flow step or jump within (0, tau_probe]."""
-    if tau_probe <= 0:
-        raise geo.PreconditionError("tau_probe must be positive")
+    if not 0 < tau_probe < math.inf:
+        raise geo.PreconditionError("tau_probe must be positive and finite")
     if starts is not None:
         pts = [np.asarray(s, dtype=float) for s in starts]
         for s in pts:

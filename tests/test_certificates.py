@@ -149,6 +149,39 @@ def test_boundary_rejects_bad_option():
         cert.check_thm_boundary(H, B, DECAY_CFG, LINEAR1, option="z")
 
 
+def test_cone_transversality_once_per_point(monkeypatch):
+    # the T_C filter and option b compute the linearized cone once per point,
+    # not once per direction: one transversality_check without a margin (the
+    # transversality legs pass one) per point
+    calls = []
+    real = geo.transversality_check
+
+    def counted(grads, **kw):
+        if not kw:
+            calls.append(len(grads))
+        return real(grads, **kw)
+
+    monkeypatch.setattr(geo, "transversality_check", counted)
+    S = geo.SetDescription(2, geo.Leaf(fl.ScalarField(
+        2, lambda x: float(x[1]), grad=lambda x: np.array([0.0, 1.0]))))  # x2 <= 0
+    etas = [np.array([1.0, t]) for t in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    assert len(fl.filter_by_cone(etas, S, [0.0, 0.0])) == 3
+    assert calls == [1]
+
+    # x' = -x + p1 (-x2, x1) around the unit ball: five directions per point
+    H, B = decay_ball_system()
+    H = mo.HybridSystem(2, H.C, fl.SetValuedMap(
+        2, 1, lambda x, lam: -x + lam[0] * np.array([-x[1], x[0]])), H.D, H.G)
+    pts = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-0.6, 0.8])]
+    monkeypatch.setattr(cert.regions, "region_b", lambda *a, **kw: [p.copy() for p in pts])
+    calls.clear()
+    v = cert.check_thm_boundary(H, B, DECAY_CFG, LINEAR1, option="b")
+    ratios = [e for e in v.evaluations if e.condition == "boundary:b:eqraj2"]
+    assert len(ratios) == 5 * len(pts)
+    assert all(e.value == 0.0 for e in ratios)  # -x + p1 (-x2, x1) points inward
+    assert calls == [1] * len(pts)
+
+
 # ---------------------------------------------------------------------------
 # external-cone flow condition (check_thm_external)
 

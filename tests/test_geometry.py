@@ -81,14 +81,23 @@ def test_membership_nonfinite_raises():
 
 
 # ---------------------------------------------------------------------------
-# analytic contingent cone
+# linearized (analytic) contingent cone
+
+
+def cone_member(cone, v):
+    """v lies in the linearized cone: no active gradient has float(g @ v) > 0."""
+    return not any(float(g @ np.asarray(v, dtype=float)) > 0.0 for g in cone)
 
 
 def test_analytic_halfplane():
     S = geo.SetDescription(2, halfspace([0, 1], 0.0))  # x2 <= 0
-    at = [0.0, 0.0]
-    assert geo.contingent_cone_member_analytic(S, at, [1, -1]) == geo.ConeVerdict.MEMBER
-    assert geo.contingent_cone_member_analytic(S, at, [0, 1]) == geo.ConeVerdict.NON_MEMBER
+    cone = geo.linearized_cone(S, [0.0, 0.0])
+    assert [g.tolist() for g in cone] == [[0.0, 1.0]]
+    assert cone_member(cone, [1, -1])
+    assert not cone_member(cone, [0, 1])
+    # no active leaf: the cone is all of R^n; a leaf above EPS_ACT: no reading
+    assert geo.linearized_cone(S, [0.0, -0.5]) == []
+    assert geo.linearized_cone(S, [0.0, 0.5]) is None
 
 
 def test_analytic_intersection_with_brute_force_oracle():
@@ -100,21 +109,19 @@ def test_analytic_intersection_with_brute_force_oracle():
     for k in range(1, 30):
         h = 2.0 ** -k
         assert S.classify(h * v, 0.0) != geo.Membership.OUTSIDE
-    assert geo.contingent_cone_member_analytic(S, [0, 0], v) == geo.ConeVerdict.MEMBER
+    assert cone_member(geo.linearized_cone(S, [0, 0]), v)
 
 
 def test_analytic_not_applicable_on_union():
     S = geo.SetDescription(2, geo.Union((halfspace([1, 0], 0.0),
                                          halfspace([0, 1], 0.0))))
-    got = geo.contingent_cone_member_analytic(S, [0, 0], [1, 1])
-    assert got == geo.ConeVerdict.NOT_APPLICABLE
+    assert geo.linearized_cone(S, [0, 0]) is None
 
 
 def test_analytic_not_applicable_without_transversality():
     S = geo.SetDescription(2, geo.Intersection((halfspace([1, 0], 0.0),
                                                 halfspace([-1, 0], 0.0))))
-    got = geo.contingent_cone_member_analytic(S, [0, 0.3], [0, 1])
-    assert got == geo.ConeVerdict.NOT_APPLICABLE
+    assert geo.linearized_cone(S, [0, 0.3]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -135,24 +142,6 @@ def test_numeric_disk_outward():
 
 def test_numeric_zero_direction():
     assert geo.contingent_min_ratio(disk(), [1.0, 0.0], [0.0, 0.0]) <= 1e-3
-
-
-# ---------------------------------------------------------------------------
-# Dubovitsky-Miliutin cone
-
-
-def test_dm_halfplane():
-    S = geo.SetDescription(2, halfspace([0, 1], 0.0))
-    assert geo.dm_cone_member(S, [0, 0], [0, -1]) == geo.ConeVerdict.MEMBER
-    # tangential directions are not interior-pointing
-    assert geo.dm_cone_member(S, [0, 0], [1, 0]) == geo.ConeVerdict.NON_MEMBER
-
-
-def test_dm_opposed_gradients():
-    S = geo.SetDescription(2, geo.Intersection((halfspace([1, 0], 0.0),
-                                                halfspace([-1, 0], 0.0))))
-    for v in ([1, 0], [-1, 0], [0, 1], [0.3, -0.7]):
-        assert geo.dm_cone_member(S, [0, 0.5], v) == geo.ConeVerdict.NON_MEMBER
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +431,8 @@ def test_cone_oracle_equivalence_random_polyhedra():
             continue
         v = rng.normal(size=dim)
         v /= np.linalg.norm(v)
-        verdict = geo.contingent_cone_member_analytic(S, x, v)
-        if verdict == geo.ConeVerdict.NOT_APPLICABLE:
+        cone = geo.linearized_cone(S, x)
+        if cone is None:
             continue
         grads = [fl.gradient(l.constraint, x) for l in S.leaves()
                  if abs(l.constraint(x)) <= 1e-6]
@@ -451,27 +440,9 @@ def test_cone_oracle_equivalence_random_polyhedra():
             continue  # margin band excluded per the equivalence statement
         numeric = geo.contingent_min_ratio(S, x, v) <= tol
         total += 1
-        if numeric == (verdict == geo.ConeVerdict.MEMBER):
+        if numeric == cone_member(cone, v):
             agree += 1
     assert agree / total >= 0.99
-
-
-def test_dm_subset_of_contingent():
-    rng = np.random.default_rng(7)
-    checked = 0
-    while checked < 60:
-        S = _random_polyhedron(rng, 2)
-        outside = rng.normal(size=2) * 2.0
-        try:
-            x, _ = geo.project(S, outside, starts=4)
-        except geo.NonConvergence:
-            continue
-        v = rng.normal(size=2)
-        dm = geo.dm_cone_member(S, x, v)
-        if dm == geo.ConeVerdict.MEMBER:
-            assert geo.contingent_cone_member_analytic(S, x, v) == geo.ConeVerdict.MEMBER
-        if dm != geo.ConeVerdict.NOT_APPLICABLE:
-            checked += 1
 
 
 def test_closure_under_intersection_lemma():
@@ -485,15 +456,14 @@ def test_closure_under_intersection_lemma():
         if np.linalg.norm(g1) < 1e-6 or np.linalg.norm(g2) < 1e-6:
             continue
         g1, g2 = g1 / np.linalg.norm(g1), g2 / np.linalg.norm(g2)
-        K1 = geo.SetDescription(2, halfspace(g1, 0.0))
         K2 = geo.SetDescription(2, halfspace(g2, 0.0))
         v = rng.normal(size=2)
         x = np.zeros(2)
-        if geo.dm_cone_member(K1, x, v) != geo.ConeVerdict.MEMBER:
+        if not float(g1 @ v) < -1e-8:  # D_int(K1)(x) of the half-space g1 @ y <= 0
             continue
-        if geo.contingent_cone_member_analytic(K2, x, v) != geo.ConeVerdict.MEMBER:
+        if not cone_member(geo.linearized_cone(K2, x), v):
             continue
-        both = K1.intersect(K2)
+        both = geo.SetDescription(2, geo.Intersection((halfspace(g1, 0.0), K2.root)))
         assert geo.contingent_min_ratio(both, x, v) <= 1e-3
         done += 1
 
@@ -1650,7 +1620,9 @@ def test_lockstep_restoration_matches_feasible_point_on_catalog_sets(monkeypatch
         b = example_bundle(name)
         kc = build_k_complex(b.system, b.barrier)
         H = b.system
-        for S in (H.C, H.D, kc.K, kc.K_e, kc.KC, kc.KD, kc.CuD, *kc.K_ei):
+        k_ei = [geo.SetDescription(kc.n, geo.Leaf(c), name=f"K_e{i + 1}")
+                for i, c in enumerate(b.barrier.components)]
+        for S in (H.C, H.D, kc.K, kc.K_e, kc.KC, kc.KD, kc.CuD, *k_ei):
             X = geo._box_draws(rng, b.box, 40)
             rows = geo.feasible_point(S, X)
             one = [geo.feasible_point(S, x) for x in X]

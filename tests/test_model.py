@@ -64,11 +64,12 @@ def test_ke_is_intersection_of_kei():
     for name in ("exp1", "thermostat", "bouncing-ball", "exprj", "expCsets"):
         b = example_bundle(name)
         kc = kc_of(b)
+        k_ei = [geo.SetDescription(kc.n, geo.Leaf(c)) for c in b.barrier.components]
         lo, hi = b.box[:, 0], b.box[:, 1]
         for _ in range(200):
             x = lo + rng.uniform(size=2) * (hi - lo)
             joint = kc.K_e.classify(x, 1e-9)
-            parts = [ki.classify(x, 1e-9) for ki in kc.K_ei]
+            parts = [ki.classify(x, 1e-9) for ki in k_ei]
             if any(p == geo.Membership.OUTSIDE for p in parts):
                 assert joint == geo.Membership.OUTSIDE
             elif all(p == geo.Membership.INSIDE for p in parts):
@@ -99,16 +100,7 @@ def test_scalarization_equivalence(bouncing):
 
 
 # ---------------------------------------------------------------------------
-# hybrid time domains and arcs
-
-
-def test_domain_invariants():
-    dom = mo.HybridTimeDomain((0.0, 1.0, 1.0, 2.5))
-    assert dom.jumps == 2
-    with pytest.raises(ValueError):
-        mo.HybridTimeDomain((0.1, 1.0))
-    with pytest.raises(ValueError):
-        mo.HybridTimeDomain((0.0, 2.0, 1.0))
+# hybrid arcs
 
 
 def test_interval_strictly_increasing():
@@ -231,11 +223,6 @@ def test_k_membership_equivalence_spot_check(thermostat):
         in_cud = kc.CuD.classify(x, 1e-9) != geo.Membership.OUTSIDE
         b_ok = bool(np.all(kc.barrier.values(x) <= 1e-9))
         assert in_k == (in_cud and b_ok)
-
-
-def test_domain_degenerate_flags():
-    dom = mo.HybridTimeDomain((0.0, 1.0, 1.0, 2.5))
-    assert dom.degenerate == (False, True, False)
 
 
 def test_interval_dimension_consistency():
