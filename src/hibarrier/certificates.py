@@ -17,9 +17,9 @@ import numpy as np
 from . import geometry as geo
 from . import regions
 from .config import ConfigError
-from .fields import (CLARKE_RADIUS, Grid, ScalarField, Vertices, clarke_support,
-                     gradient, image_samples, filter_by_cone, negated)
-from .model import BarrierCandidate, HybridSystem, KComplex, build_k_complex
+from .fields import (CLARKE_RADIUS, Grid, Vertices, clarke_support, gradient,
+                     image_samples, filter_by_cone, negated)
+from .model import BarrierCandidate, HybridSystem, KComplex
 
 __all__ = [
     "NO_VIOLATION",
@@ -319,11 +319,11 @@ def _clear_of_box(pts: list[np.ndarray], box: np.ndarray) -> bool:
 # Theorem checks
 
 
-def check_thm1(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) -> Verdict:
+def check_thm1(H: HybridSystem, kc: KComplex, cfg: CheckConfig) -> Verdict:
     """Flow: <grad B_i, eta> <= 0 on (U(M_i) \\ K_ei) cap C for eta in F cap T_C.
     Jump: B(G(x)) <= 0 and G(x) in C u D on D cap K."""
+    B = kc.barrier
     _require_c1(B)
-    kc = build_k_complex(H, B)
     col = _Collector()
     box = cfg.box_array()
     for i in range(B.m):
@@ -336,14 +336,14 @@ def check_thm1(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) -> Verdic
     return col.finish("thm1", cfg)
 
 
-def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
+def check_thm_boundary(H: HybridSystem, kc: KComplex, cfg: CheckConfig,
                        rho: UniquenessFunction, option: str = "a") -> Verdict:
     """Boundary-only flow condition under a Lipschitz-like estimate with a
     uniqueness function, transversality, and one of the corner options a/b/c."""
+    B = kc.barrier
     _require_c1(B)
     if option not in ("a", "b", "c"):
         raise geo.PreconditionError("option must be one of a, b, c")
-    kc = build_k_complex(H, B)
     col = _Collector()
     col.note(f"uniqueness function {rho.label()}")
     box = cfg.box_array()
@@ -428,9 +428,8 @@ def check_thm_boundary(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
     return col.finish(f"boundary:{option}", cfg)
 
 
-def check_thm_external(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) -> Verdict:
+def check_thm_external(H: HybridSystem, kc: KComplex, cfg: CheckConfig) -> Verdict:
     """eta in E_K(x) for filtered flow directions on (U(dK) \\ K) cap C."""
-    kc = build_k_complex(H, B)
     col = _Collector()
     box = cfg.box_array()
     col.flag("distance-approximate")
@@ -450,13 +449,12 @@ def check_thm_external(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) -
     return col.finish("external", cfg)
 
 
-def check_thm_lipschitz(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) -> Verdict:
+def check_thm_lipschitz(H: HybridSystem, kc: KComplex, cfg: CheckConfig) -> Verdict:
     """Clarke support condition max_{zeta} <zeta, eta> <= 0 on the outside band
     (B auto-scalarized via the max when it has several components)."""
-    kc = build_k_complex(H, B)
     bar = kc.bar
     col = _Collector()
-    if B.m > 1:
+    if kc.barrier.m > 1:
         col.note("vector candidate scalarized as max_i B_i")
     box = cfg.box_array()
     for x in regions.outside_band(kc, H, box, cfg.samples, cfg.radius, cfg.band,
@@ -469,10 +467,10 @@ def check_thm_lipschitz(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig) 
     return col.finish("lipschitz", cfg)
 
 
-def check_relaxed(H: HybridSystem, B: BarrierCandidate, cfg: CheckConfig,
+def check_relaxed(H: HybridSystem, kc: KComplex, cfg: CheckConfig,
                   rho: UniquenessFunction) -> Verdict:
     """Same bands as check_thm1 with right-hand side rho(B_i(x)) instead of 0."""
-    kc = build_k_complex(H, B)
+    B = kc.barrier
     col = _Collector()
     col.note(f"uniqueness function {rho.label()}")
     box = cfg.box_array()
@@ -592,14 +590,13 @@ def _completion_leg(kc: KComplex, H: HybridSystem, cfg: CheckConfig, col: _Colle
         col.note("(K cap dC) \\ D produced no samples; completion is vacuous")
 
 
-def check_invariance_completion(H: HybridSystem, B: BarrierCandidate,
-                                cfg: CheckConfig, mode: str = "prop2") -> Verdict:
+def check_invariance_completion(H: HybridSystem, kc: KComplex, cfg: CheckConfig,
+                                mode: str = "prop2") -> Verdict:
     """Pre-invariance to invariance: nontrivial-flow existence on
     (K cap dC) \\ D (prop2) or the cone nonemptiness condition on shrinking
     neighborhoods (prop3), plus the no-finite-escape heuristic flag."""
     if mode not in ("prop2", "prop3"):
         raise geo.PreconditionError("mode must be prop2 or prop3")
-    kc = build_k_complex(H, B)
     col = _Collector()
     _no_finite_escape_note(kc, H, cfg, col)
     _completion_leg(kc, H, cfg, col, kc.KC, f"invariance:{mode}:flow-exists",
@@ -648,12 +645,11 @@ def _corner_emptiness_leg(col: _Collector, kc: KComplex, H: HybridSystem,
             col.add(f"{prefix}:corner-empty", x, -min(ratio, 1e6), -geo.CONE_TOL, eta=eta)
 
 
-def check_contractive_c1(H: HybridSystem, B: BarrierCandidate,
-                         cfg: CheckConfig) -> Verdict:
+def check_contractive_c1(H: HybridSystem, kc: KComplex, cfg: CheckConfig) -> Verdict:
     """Strict flow inequality on M_i cap C, corner-tangency emptiness on
     dK cap dC, and strict jump conditions with interior containment."""
+    B = kc.barrier
     _require_c1(B)
-    kc = build_k_complex(H, B)
     col = _Collector()
     box = cfg.box_array()
     for i in range(B.m):
@@ -668,8 +664,7 @@ def check_contractive_c1(H: HybridSystem, B: BarrierCandidate,
     return col.finish("contract-c1", cfg)
 
 
-def check_contractive_lip(H: HybridSystem, B: BarrierCandidate,
-                          cfg: CheckConfig) -> Verdict:
+def check_contractive_lip(H: HybridSystem, kc: KComplex, cfg: CheckConfig) -> Verdict:
     """Strict Clarke support condition sampled over all of K_e cap C (a larger
     region than the smooth checker's boundary-only one), plus corner and
     strict jump legs.
@@ -677,10 +672,9 @@ def check_contractive_lip(H: HybridSystem, B: BarrierCandidate,
     The sampled support under-approximates the true one, so satisfaction
     subtracts a 2 * CLARKE_RADIUS safety margin.
     """
-    kc = build_k_complex(H, B)
     bar = kc.bar
     col = _Collector()
-    if B.m > 1:
+    if kc.barrier.m > 1:
         col.note("vector candidate scalarized as max_i B_i")
     box = cfg.box_array()
     pts = (regions.ke_c_volume(kc, H, box, cfg.samples, seed=cfg.seed)
@@ -697,11 +691,10 @@ def check_contractive_lip(H: HybridSystem, B: BarrierCandidate,
     return col.finish("contract-lip", cfg)
 
 
-def check_contractivity_completion(H: HybridSystem, B: BarrierCandidate,
+def check_contractivity_completion(H: HybridSystem, kc: KComplex,
                                    cfg: CheckConfig) -> Verdict:
     """Pre-contractivity to contractivity: sampled F cap T_C nonempty around
     (K cap dC) \\ D, plus the no-finite-escape heuristic flag."""
-    kc = build_k_complex(H, B)
     col = _Collector()
     _no_finite_escape_note(kc, H, cfg, col)
     _completion_leg(kc, H, cfg, col, H.C, "contract-complete:flow-in-tc",
@@ -741,18 +734,12 @@ def _minkowski(K: geo.SetDescription, points: list[np.ndarray]) -> list[float]:
     return list(geo.minkowski(K, np.array(points))) if points else []
 
 
-def check_cset(H: HybridSystem, B: BarrierCandidate | None, cfg: CheckConfig,
+def check_cset(H: HybridSystem, kc: KComplex, cfg: CheckConfig,
                direction: str = "minkowski") -> Verdict:
     """C-set contractivity via the Minkowski-functional rate (definition) or
     the one-sided barrier difference quotients (sufficient condition)."""
     if direction not in ("minkowski", "barrier"):
         raise geo.PreconditionError("direction must be minkowski or barrier")
-    if B is None:
-        if direction == "barrier":
-            raise geo.PreconditionError("barrier direction needs a barrier candidate")
-        B = BarrierCandidate((ScalarField(H.n, lambda x: -1.0,
-                                          grad=lambda x: np.zeros(H.n), name="-1"),))
-    kc = build_k_complex(H, B)
     col = _Collector()
     box = cfg.box_array()
     if not _cset_spot_checks(kc, H, cfg, col):
@@ -777,8 +764,7 @@ def check_cset(H: HybridSystem, B: BarrierCandidate | None, cfg: CheckConfig,
         for (x, g), psi_g in zip(images, _minkowski(kc.K, [g for _, g in images])):
             col.add("cset:mink:jump", x, psi_g, 1.0 - cfg.margin_strict, eta=g)
     else:
-        for i in range(B.m):
-            b_i = B.components[i]
+        for i, b_i in enumerate(kc.barrier.components):
             for x in regions.m_on_c(kc, H, i, box, cfg.samples, cfg.band,
                                     seed=cfg.seed):
                 bx = float(b_i.fn(x))
@@ -788,7 +774,7 @@ def check_cset(H: HybridSystem, B: BarrierCandidate | None, cfg: CheckConfig,
                             -cfg.margin_strict, eta=eta)
         for x in regions.jump_region(kc, H, box, cfg.samples, seed=cfg.seed):
             for g in image_samples(H.G, x, cfg.scheme):
-                col.add("cset:barrier:jump", x, B.bar_value(g),
+                col.add("cset:barrier:jump", x, kc.barrier.bar_value(g),
                         -cfg.margin_strict, eta=g)
                 col.add("cset:barrier:jump-in-cud", x, float(kc.CuD.value(g)),
                         cfg.tol_eq, eta=g)

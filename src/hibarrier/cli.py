@@ -18,7 +18,7 @@ from . import geometry as geo
 from . import simulate as sim
 from .config import ConfigError, SystemBundle, load_system
 from .fields import BudgetError, EvaluationError
-from .model import build_k_complex
+from .model import HybridSystem, KComplex, build_k_complex
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -36,37 +36,36 @@ def _build_config(bundle: SystemBundle, args) -> cert.CheckConfig:
         tol_eq=args.tol, margin_strict=args.margin, seed=args.seed)
 
 
-def run_named_check(name: str, bundle: SystemBundle, cfg: cert.CheckConfig, *,
+def run_named_check(name: str, H: HybridSystem, kc: KComplex, cfg: cert.CheckConfig, *,
                     rho: cert.UniquenessFunction | None = None,
                     option: str = "a", mode: str = "prop2",
                     direction: str | None = None) -> list[cert.Verdict]:
     """Dispatch one theorem id to its checker; `cset` runs both directions
     unless one is forced."""
-    H, B = bundle.system, bundle.barrier
     rho = rho or cert.UniquenessFunction("linear", k=1.0)
     if name == "thm1":
-        return [cert.check_thm1(H, B, cfg)]
+        return [cert.check_thm1(H, kc, cfg)]
     if name == "boundary":
-        return [cert.check_thm_boundary(H, B, cfg, rho, option=option)]
+        return [cert.check_thm_boundary(H, kc, cfg, rho, option=option)]
     if name == "external":
-        return [cert.check_thm_external(H, B, cfg)]
+        return [cert.check_thm_external(H, kc, cfg)]
     if name == "lipschitz":
-        return [cert.check_thm_lipschitz(H, B, cfg)]
+        return [cert.check_thm_lipschitz(H, kc, cfg)]
     if name == "relaxed":
-        return [cert.check_relaxed(H, B, cfg, rho)]
+        return [cert.check_relaxed(H, kc, cfg, rho)]
     if name == "invariance":
-        return [cert.check_invariance_completion(H, B, cfg, mode=mode)]
+        return [cert.check_invariance_completion(H, kc, cfg, mode=mode)]
     if name == "contract-c1":
-        return [cert.check_contractive_c1(H, B, cfg)]
+        return [cert.check_contractive_c1(H, kc, cfg)]
     if name == "contract-lip":
-        return [cert.check_contractive_lip(H, B, cfg)]
+        return [cert.check_contractive_lip(H, kc, cfg)]
     if name == "contract-complete":
-        return [cert.check_contractivity_completion(H, B, cfg)]
+        return [cert.check_contractivity_completion(H, kc, cfg)]
     if name == "cset":
         if direction:
-            return [cert.check_cset(H, B, cfg, direction=direction)]
-        return [cert.check_cset(H, B, cfg, direction="minkowski"),
-                cert.check_cset(H, B, cfg, direction="barrier")]
+            return [cert.check_cset(H, kc, cfg, direction=direction)]
+        return [cert.check_cset(H, kc, cfg, direction="minkowski"),
+                cert.check_cset(H, kc, cfg, direction="barrier")]
     raise ConfigError(f"unknown theorem id {name!r}; known: {', '.join(THEOREM_IDS)}")
 
 
@@ -121,8 +120,9 @@ def cmd_check(args) -> int:
     theorems = args.theorem or ["thm1"]
     verdicts: list[cert.Verdict] = []
     t0 = time.perf_counter()
+    kc = build_k_complex(bundle.system, bundle.barrier)  # its pools serve every check
     for name in theorems:
-        verdicts.extend(run_named_check(name, bundle, cfg, rho=rho,
+        verdicts.extend(run_named_check(name, bundle.system, kc, cfg, rho=rho,
                                         option=args.option, mode=args.mode))
     elapsed = time.perf_counter() - t0
     for v in verdicts:
@@ -169,6 +169,8 @@ def _parse_horizon(text: str, step: float) -> sim.Horizon:
         raise ConfigError("--horizon expects T,J")
     try:
         return sim.Horizon(float(parts[0]), int(parts[1]), step)
+    except BudgetError:
+        raise
     except ValueError as e:
         raise ConfigError(f"bad --horizon {text!r}: {e}") from None
 
@@ -200,6 +202,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _search(bundle: SystemBundle, kc: KComplex, mode: str, budget: sim.FalsifyBudget,
+            tau: float, seed: int) -> tuple[bool, sim.FalsifyResult | sim.ProbeResult]:
+    """(found, result) of the invariance search, or of the contractivity probe
+    with window tau, from starts in bundle's box."""
+    if mode == "invariance":
+        res = sim.falsify_invariance(bundle.system, kc, budget, box=bundle.box, seed=seed)
+        return res.found, res
+    res = sim.probe_contractivity(bundle.system, kc, budget, tau, box=bundle.box, seed=seed)
+    return res.lingering, res
+
+
 def cmd_falsify(args) -> int:
     bundle = load_system(args.config)
     kc = build_k_complex(bundle.system, bundle.barrier)
@@ -207,39 +220,30 @@ def cmd_falsify(args) -> int:
     budget = sim.FalsifyBudget(starts=args.budget, horizon=horizon)
     t0 = time.perf_counter()
     extra: dict = {"mode": args.mode}
-    if args.mode == "invariance":
-        result = sim.falsify_invariance(bundle.system, kc, budget, box=bundle.box,
-                                        seed=args.seed)
-        found = result.found
-        if found:
-            sc = result.scenario
-            print(f"counterexample: {sc.kind} at (t={sc.t:.6g}, j={sc.j}), "
-                  f"x={sc.x.tolist()}, B={kc.barrier.values(sc.x).tolist()}")
-            extra["counterexample"] = {
-                "kind": sc.kind, "t": sc.t, "j": sc.j, "x": sc.x.tolist(),
-                "barrier": kc.barrier.values(sc.x).tolist(),
-                "start": result.start.tolist(),
-            }
-            if args.witness and result.arc is not None:
-                Path(args.witness).write_text(sim.arc_to_csv(result.arc, kc.barrier))
-        else:
-            print(f"no counterexample found ({result.stats})")
-        extra["stats"] = result.stats
+    found, result = _search(bundle, kc, args.mode, budget, args.tau, args.seed)
+    if found and args.mode == "invariance":
+        sc = result.scenario
+        print(f"counterexample: {sc.kind} at (t={sc.t:.6g}, j={sc.j}), "
+              f"x={sc.x.tolist()}, B={kc.barrier.values(sc.x).tolist()}")
+        extra["counterexample"] = {
+            "kind": sc.kind, "t": sc.t, "j": sc.j, "x": sc.x.tolist(),
+            "barrier": kc.barrier.values(sc.x).tolist(),
+            "start": result.start.tolist(),
+        }
+        if args.witness and result.arc is not None:
+            Path(args.witness).write_text(sim.arc_to_csv(result.arc, kc.barrier))
+    elif found:
+        print(f"boundary lingering from {result.witness_start.tolist()}: "
+              f"{result.note}")
+        extra["lingering"] = {"start": result.witness_start.tolist(),
+                              "note": result.note}
+        if args.witness and result.witness_arc is not None:
+            Path(args.witness).write_text(sim.arc_to_csv(result.witness_arc, kc.barrier))
+    elif args.mode == "invariance":
+        print(f"no counterexample found ({result.stats})")
     else:
-        result = sim.probe_contractivity(bundle.system, kc, budget, args.tau,
-                                         box=bundle.box, seed=args.seed)
-        found = result.lingering
-        if found:
-            print(f"boundary lingering from {result.witness_start.tolist()}: "
-                  f"{result.note}")
-            extra["lingering"] = {"start": result.witness_start.tolist(),
-                                  "note": result.note}
-            if args.witness and result.witness_arc is not None:
-                Path(args.witness).write_text(
-                    sim.arc_to_csv(result.witness_arc, kc.barrier))
-        else:
-            print(f"immediate entry on all boundary starts ({result.stats})")
-        extra["stats"] = result.stats
+        print(f"immediate entry on all boundary starts ({result.stats})")
+    extra["stats"] = result.stats
     elapsed = time.perf_counter() - t0
     _write_report(args.report, _report_doc("falsify", str(args.config), bundle,
                                            [], extra, elapsed))
@@ -253,11 +257,12 @@ def _run_expected(bundle: SystemBundle, seed: int) -> tuple[bool, list[str]]:
     samples = int(expected.get("samples", 32))
     cfg = cert.CheckConfig(box=tuple(tuple(r) for r in bundle.box.tolist()),
                            samples=samples, seed=seed)
+    kc = build_k_complex(bundle.system, bundle.barrier)  # shared by the checks and falsify
     for spec in expected.get("checks", []):
         name = spec["theorem"]
         rho = cert.UniquenessFunction.parse(spec.get("rho", "linear:1"))
         verdicts = run_named_check(
-            name, bundle, cfg, rho=rho, option=spec.get("option", "a"),
+            name, bundle.system, kc, cfg, rho=rho, option=spec.get("option", "a"),
             mode=spec.get("mode", "prop2"), direction=spec.get("direction"))
         status = verdicts[0].status
         want = spec["status"]
@@ -269,18 +274,11 @@ def _run_expected(bundle: SystemBundle, seed: int) -> tuple[bool, list[str]]:
                      + ("" if good else f" (expected {want})"))
     fal = expected.get("falsify")
     if fal:
-        kc = build_k_complex(bundle.system, bundle.barrier)
         horizon = sim.Horizon(*fal.get("horizon", [1.5, 6]), 5e-3)
         budget = sim.FalsifyBudget(starts=int(fal.get("starts", 24)), horizon=horizon)
-        if fal["mode"] == "invariance":
-            res = sim.falsify_invariance(bundle.system, kc, budget, box=bundle.box,
-                                         seed=seed)
-            outcome = "counterexample" if res.found else "none"
-        else:
-            res = sim.probe_contractivity(bundle.system, kc, budget,
-                                          float(fal.get("tau_probe", 0.05)),
-                                          box=bundle.box, seed=seed)
-            outcome = "counterexample" if res.lingering else "none"
+        found, _ = _search(bundle, kc, fal["mode"], budget,
+                           float(fal.get("tau_probe", 0.05)), seed)
+        outcome = "counterexample" if found else "none"
         good = outcome == fal["outcome"]
         ok = ok and good
         lines.append(f"  {'PASS' if good else 'FAIL'} falsify:{fal['mode']}: {outcome}"

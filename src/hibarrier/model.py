@@ -147,9 +147,9 @@ class KComplex:
     def pool(self, S: geo.SetDescription, box, n: int, seed: int,
              band: float | None = None) -> geo.SampleResult:
         """n points of S in the box, or of its boundary band when a band is
-        given; drawn once per (set name, box, n, band, seed) and then shared,
-        so sets are told apart by name. Callers copy the points before
-        changing them."""
+        given; drawn once per (set name, box, n, band, seed) and then shared
+        by the checks of one command, so sets are told apart by name. Callers
+        copy the points before changing them."""
         box = np.asarray(box, dtype=float)
         key = (S.name, box.tobytes(), n, band, seed)
         if key not in self._pools:

@@ -4,7 +4,7 @@ sufficient conditions (boundary bands, level-set pieces, corner sets).
 Every region starts from a point pool of one of the K complex's sets (K, K_e,
 K cap C, K cap D, or M_i), drawn by `KComplex.pool` or `KComplex.sample_m`.
 A pool is drawn once per (set name, box, pool size, band, seed) and memoised
-on the K complex, so the legs of one check share it; a region filters or
+on the K complex, so the checks of one command share it; a region filters or
 perturbs the pool into a fresh list. Per-region randomness comes from tagged
 substreams of the same seed.
 """

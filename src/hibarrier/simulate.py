@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import geometry as geo
-from .fields import EvaluationError, Grid, grid, image_samples, filter_by_cone
+from .fields import BudgetError, EvaluationError, Grid, grid, image_samples, filter_by_cone
 from .model import (EXIT_TOL, ArcInterval, BarrierCandidate, HybridArc, HybridSystem,
                     KComplex, ScenarioResult, scenario_classify)
 
@@ -46,6 +46,7 @@ _S0_TOL = 1e-6       # membership slack for the initial state (S0)
 _REFINE_TOL = 1e-12  # guard bisection stops below this bracket width
 _BOUNDARY_BAND = 1e-7  # band of dK that search starts are drawn from
 _ENTRY_MARGIN = 1e-4  # max_i B_i below -margin counts as entry into int(K)
+_STEP_LIMIT = 100_000  # integration steps T / step a horizon may ask for
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +107,10 @@ class Horizon:
     def __post_init__(self):
         if not (0 <= self.T < math.inf and self.J >= 0 and 0 < self.step < math.inf):
             raise ValueError("need finite T >= 0, J >= 0 and finite step > 0")
+        if self.T / self.step > _STEP_LIMIT:
+            raise BudgetError(f"a horizon T = {self.T:g} at step {self.step:g} is "
+                              f"{self.T / self.step:.3g} steps, over the budget of "
+                              f"{_STEP_LIMIT} steps")
 
 
 def default_policy_pool() -> tuple[SelectionPolicy, ...]:
@@ -440,19 +445,12 @@ class ProbeResult:
 
 
 def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
-                        tau_probe: float, *, box, seed: int = 0,
-                        starts: Sequence[np.ndarray] | None = None) -> ProbeResult:
+                        tau_probe: float, *, box, seed: int = 0) -> ProbeResult:
     """From dK starts, test immediate entry of max_i B_i below -_ENTRY_MARGIN
     after the first nontrivial flow step or jump within (0, tau_probe]."""
     if not 0 < tau_probe < math.inf:
         raise geo.PreconditionError("tau_probe must be positive and finite")
-    if starts is not None:
-        pts = [np.asarray(s, dtype=float) for s in starts]
-        for s in pts:
-            if kc.K.classify(s, _BOUNDARY_BAND) == geo.Membership.INSIDE:
-                raise geo.PreconditionError("probe start lies in int(K); must start on dK")
-    else:
-        pts = list(kc.pool(kc.K, box, budget.starts, seed, _BOUNDARY_BAND).points)
+    pts = kc.pool(kc.K, box, budget.starts, seed, _BOUNDARY_BAND).points
     horizon = Horizon(tau_probe, 2, min(budget.horizon.step, tau_probe / 20.0))
     policies = (SelectionPolicy(Constant(), Constant(), Overlap("jump")),
                 SelectionPolicy(Constant(), Constant(), Overlap("flow")))

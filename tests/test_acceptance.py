@@ -20,6 +20,10 @@ from hibarrier.catalog import example_bundle, example_config
 from hibarrier.cli import main as cli_main
 
 
+def kc_of(bundle):
+    return mo.build_k_complex(bundle.system, bundle.barrier)
+
+
 def cfg_for(bundle, **kw):
     kw.setdefault("samples", 32)
     kw.setdefault("seed", 0)
@@ -45,7 +49,7 @@ def test_acceptance_1_thermostat(tmp_path):
     doc = json.loads(rep.read_text())
     assert all(c["status"] == "no_violation_found" for c in doc["checks"])
 
-    v = cert.check_thm1(b.system, b.barrier, cfg_for(b, samples=24))
+    v = cert.check_thm1(b.system, kc_of(b), cfg_for(b, samples=24))
     z_o, z_delta = 0.0, 2.0
     flow1 = [e for e in v.evaluations if e.condition == "thm1:flow:B1"]
     flow2 = [e for e in v.evaluations if e.condition == "thm1:flow:B2"]
@@ -69,7 +73,7 @@ def test_acceptance_2_bouncing_ball():
     b = example_bundle("bouncing-ball")
     lam = 0.5
 
-    v = cert.check_thm1(b.system, b.barrier, cfg_for(b, samples=1100))
+    v = cert.check_thm1(b.system, kc_of(b), cfg_for(b, samples=1100))
     flows = [e for e in v.evaluations if e.condition.startswith("thm1:flow")]
     assert len(flows) >= 1000
     assert max(abs(e.value) for e in flows) <= 1e-12
@@ -80,11 +84,11 @@ def test_acceptance_2_bouncing_ball():
         assert e.value <= -(1.0 - lam * lam) * e.x[1] ** 2 + 1e-9
     assert v.status == cert.NO_VIOLATION
 
-    v3 = cert.check_invariance_completion(b.system, b.barrier,
+    v3 = cert.check_invariance_completion(b.system, kc_of(b),
                                           cfg_for(b, samples=16), mode="prop3")
     assert v3.status == cert.NO_VIOLATION
 
-    vc = cert.check_contractive_c1(b.system, b.barrier, cfg_for(b, samples=16))
+    vc = cert.check_contractive_c1(b.system, kc_of(b), cfg_for(b, samples=16))
     assert vc.status == cert.VIOLATED  # flow value identically 0 fails strictness
 
     kc = mo.build_k_complex(b.system, b.barrier)
@@ -110,7 +114,7 @@ def test_acceptance_3_expillu():
     assert abs(x_exit[1] - t_exit ** 2 / 4.0) <= 1e-4
     assert abs((x_exit[0] - res.start[0]) - t_exit) <= 1e-4
 
-    v = cert.check_thm1(b.system, b.barrier, cfg_for(b, samples=24))
+    v = cert.check_thm1(b.system, kc_of(b), cfg_for(b, samples=24))
     assert v.status == cert.VIOLATED
     for w in v.witnesses:
         assert abs(w.value - math.sqrt(w.x[1])) <= 1e-6
@@ -124,7 +128,7 @@ def test_acceptance_4_expcount():
     b = example_bundle("expcount")
     rho = cert.UniquenessFunction("linear", k=1.0)
 
-    va = cert.check_thm_boundary(b.system, b.barrier, cfg_for(b, samples=20),
+    va = cert.check_thm_boundary(b.system, kc_of(b), cfg_for(b, samples=20),
                                  rho, option="a")
     assert va.status == cert.VIOLATED
     ws = [w for w in va.witnesses if w.condition == "boundary:a:flow:B1"]
@@ -133,11 +137,11 @@ def test_acceptance_4_expcount():
         assert w.value == pytest.approx(2.0 * w.x[0] ** 2, rel=1e-4, abs=1e-8)
     assert any(0.0 < w.x[0] <= 0.1 for w in ws)
 
-    vb = cert.check_thm_boundary(b.system, b.barrier, cfg_for(b, samples=20),
+    vb = cert.check_thm_boundary(b.system, kc_of(b), cfg_for(b, samples=20),
                                  rho, option="b")
     assert vb.status == cert.VIOLATED
 
-    vc = cert.check_thm_boundary(b.system, b.barrier, cfg_for(b, samples=20),
+    vc = cert.check_thm_boundary(b.system, kc_of(b), cfg_for(b, samples=20),
                                  rho, option="c")
     assert vc.status == cert.INCONCLUSIVE
     assert any("not convex" in n for n in vc.notes)
@@ -159,7 +163,7 @@ def test_acceptance_4_expcount():
     assert not resf.found
     for option, want in (("a", cert.VIOLATED), ("b", cert.VIOLATED),
                          ("c", cert.INCONCLUSIVE)):
-        got = cert.check_thm_boundary(bf.system, bf.barrier,
+        got = cert.check_thm_boundary(bf.system, kc_of(bf),
                                       cfg_for(bf, samples=20), rho, option=option)
         assert got.status == want, option
 
@@ -171,7 +175,7 @@ def test_acceptance_4_expcount():
 def test_acceptance_5_exprj():
     b = example_bundle("exprj")
 
-    vc = cert.check_contractive_c1(b.system, b.barrier, cfg_for(b, samples=24))
+    vc = cert.check_contractive_c1(b.system, kc_of(b), cfg_for(b, samples=24))
     assert vc.status == cert.NO_VIOLATION
     flow1 = [e for e in vc.evaluations if e.condition == "contract:flow:B1"]
     assert flow1
@@ -188,7 +192,7 @@ def test_acceptance_5_exprj():
         assert abs(b1 - (e.x[0] ** 2 / 3.0 - 7.0 / 4.0)) <= 1e-9
         assert abs(b2 - (-0.5)) <= 1e-9
 
-    vcc = cert.check_contractivity_completion(b.system, b.barrier,
+    vcc = cert.check_contractivity_completion(b.system, kc_of(b),
                                               cfg_for(b, samples=24))
     assert vcc.status == cert.NO_VIOLATION
 
@@ -207,14 +211,14 @@ def test_acceptance_6_expcsets():
     b = example_bundle("expCsets")
     cfg = cfg_for(b, samples=240, scheme=fl.Vertices())
 
-    vm = cert.check_cset(b.system, b.barrier, cfg, direction="minkowski")
+    vm = cert.check_cset(b.system, kc_of(b), cfg, direction="minkowski")
     assert vm.status == cert.NO_VIOLATION
     rates = [e for e in vm.evaluations if e.condition == "cset:mink:flow"]
     pts = {tuple(np.round(e.x, 12)) for e in rates}
     assert len(pts) >= 200
     assert all(e.value < 0 for e in rates)
 
-    vb = cert.check_cset(b.system, b.barrier, cfg_for(b, samples=24),
+    vb = cert.check_cset(b.system, kc_of(b), cfg_for(b, samples=24),
                          direction="barrier")
     assert vb.status == cert.NO_VIOLATION
 
@@ -331,7 +335,7 @@ def test_acceptance_7_property_suites():
         texts.append(json.dumps({"found": res.found, "stats": res.stats},
                                 sort_keys=True))
     assert texts[0] == texts[1]
-    verdicts = [json.dumps(cert.check_thm1(b.system, b.barrier,
+    verdicts = [json.dumps(cert.check_thm1(b.system, kc_of(b),
                                            cfg_for(b, samples=12, seed=9)).to_dict(),
                            sort_keys=True)
                 for _ in range(2)]

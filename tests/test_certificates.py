@@ -13,6 +13,10 @@ from hibarrier.catalog import example_bundle
 LINEAR1 = cert.UniquenessFunction("linear", k=1.0)
 
 
+def kc_of(bundle):
+    return mo.build_k_complex(bundle.system, bundle.barrier)
+
+
 def cfg_for(bundle, samples=24, seed=0, **kw):
     return cert.CheckConfig(box=tuple(tuple(r) for r in bundle.box.tolist()),
                             samples=samples, seed=seed, **kw)
@@ -47,7 +51,7 @@ DECAY_CFG = cert.CheckConfig(box=((-2.0, 2.0), (-2.0, 2.0)), samples=24, seed=0)
 
 def test_thm1_thermostat_margins():
     b = example_bundle("thermostat")
-    v = cert.check_thm1(b.system, b.barrier, cfg_for(b))
+    v = cert.check_thm1(b.system, kc_of(b), cfg_for(b))
     assert v.status == cert.NO_VIOLATION and not v.vacuous
     z_o, z_delta = 0.0, 2.0
     flow1 = [e for e in v.evaluations if e.condition == "thm1:flow:B1"]
@@ -63,7 +67,7 @@ def test_thm1_thermostat_margins():
 
 def test_thm1_bouncing_flow_identically_zero():
     b = example_bundle("bouncing-ball")
-    v = cert.check_thm1(b.system, b.barrier, cfg_for(b, samples=32))
+    v = cert.check_thm1(b.system, kc_of(b), cfg_for(b, samples=32))
     assert v.status == cert.NO_VIOLATION
     flows = [e for e in v.evaluations if e.condition.startswith("thm1:flow")]
     assert flows
@@ -72,7 +76,7 @@ def test_thm1_bouncing_flow_identically_zero():
 
 def test_thm1_expillu_violated_with_sqrt_witness():
     b = example_bundle("expillu")
-    v = cert.check_thm1(b.system, b.barrier, cfg_for(b))
+    v = cert.check_thm1(b.system, kc_of(b), cfg_for(b))
     assert v.status == cert.VIOLATED
     for w in v.witnesses:
         assert w.condition == "thm1:flow:B1"
@@ -82,7 +86,7 @@ def test_thm1_expillu_violated_with_sqrt_witness():
 
 def test_thm1_exp1_passes():
     b = example_bundle("exp1")
-    v = cert.check_thm1(b.system, b.barrier, cfg_for(b))
+    v = cert.check_thm1(b.system, kc_of(b), cfg_for(b))
     assert v.status == cert.NO_VIOLATION and not v.vacuous
 
 
@@ -91,7 +95,7 @@ def test_thm1_requires_c1():
     B = mo.BarrierCandidate((fl.ScalarField(2, lambda x: float(x[1]) - 1.5,
                                             tag=fl.LIPSCHITZ),))
     with pytest.raises(geo.PreconditionError):
-        cert.check_thm1(b.system, B, cfg_for(b))
+        cert.check_thm1(b.system, mo.build_k_complex(b.system, B), cfg_for(b))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +104,7 @@ def test_thm1_requires_c1():
 
 def test_boundary_expcount_option_a():
     b = example_bundle("expcount")
-    v = cert.check_thm_boundary(b.system, b.barrier, cfg_for(b, samples=20),
+    v = cert.check_thm_boundary(b.system, kc_of(b), cfg_for(b, samples=20),
                                 LINEAR1, option="a")
     assert v.status == cert.VIOLATED
     ws = [w for w in v.witnesses if w.condition == "boundary:a:flow:B1"]
@@ -114,7 +118,7 @@ def test_boundary_expcount_option_a():
 
 def test_boundary_expcount_option_b():
     b = example_bundle("expcount")
-    v = cert.check_thm_boundary(b.system, b.barrier, cfg_for(b, samples=20),
+    v = cert.check_thm_boundary(b.system, kc_of(b), cfg_for(b, samples=20),
                                 LINEAR1, option="b")
     assert v.status == cert.VIOLATED
     assert any(w.condition == "boundary:b:eqraj2" for w in v.witnesses)
@@ -122,7 +126,7 @@ def test_boundary_expcount_option_b():
 
 def test_boundary_expcount_option_c_nonconvex():
     b = example_bundle("expcount")
-    v = cert.check_thm_boundary(b.system, b.barrier, cfg_for(b, samples=20),
+    v = cert.check_thm_boundary(b.system, kc_of(b), cfg_for(b, samples=20),
                                 LINEAR1, option="c")
     assert v.status == cert.INCONCLUSIVE
     assert any("not convex" in n for n in v.notes)
@@ -131,7 +135,7 @@ def test_boundary_expcount_option_c_nonconvex():
 def test_boundary_linear_decay_passes():
     # x' = -x is globally Lipschitz with k = 1; every boundary-check leg holds
     H, B = decay_ball_system()
-    v = cert.check_thm_boundary(H, B, DECAY_CFG, LINEAR1, option="a")
+    v = cert.check_thm_boundary(H, mo.build_k_complex(H, B), DECAY_CFG, LINEAR1, option="a")
     assert v.status == cert.NO_VIOLATION
     eq9 = [e for e in v.evaluations if e.condition == "boundary:eq9:B1"]
     assert eq9
@@ -146,7 +150,7 @@ def test_boundary_linear_decay_passes():
 def test_boundary_rejects_bad_option():
     H, B = decay_ball_system()
     with pytest.raises(geo.PreconditionError):
-        cert.check_thm_boundary(H, B, DECAY_CFG, LINEAR1, option="z")
+        cert.check_thm_boundary(H, mo.build_k_complex(H, B), DECAY_CFG, LINEAR1, option="z")
 
 
 def test_cone_transversality_once_per_point(monkeypatch):
@@ -175,7 +179,7 @@ def test_cone_transversality_once_per_point(monkeypatch):
     pts = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([-0.6, 0.8])]
     monkeypatch.setattr(cert.regions, "region_b", lambda *a, **kw: [p.copy() for p in pts])
     calls.clear()
-    v = cert.check_thm_boundary(H, B, DECAY_CFG, LINEAR1, option="b")
+    v = cert.check_thm_boundary(H, mo.build_k_complex(H, B), DECAY_CFG, LINEAR1, option="b")
     ratios = [e for e in v.evaluations if e.condition == "boundary:b:eqraj2"]
     assert len(ratios) == 5 * len(pts)
     assert all(e.value == 0.0 for e in ratios)  # -x + p1 (-x2, x1) points inward
@@ -188,13 +192,13 @@ def test_cone_transversality_once_per_point(monkeypatch):
 
 def test_external_exp1nwbis_passes():
     b = example_bundle("exp1nwbis")
-    v = cert.check_thm_external(b.system, b.barrier, cfg_for(b, samples=16))
+    v = cert.check_thm_external(b.system, kc_of(b), cfg_for(b, samples=16))
     assert v.status == cert.NO_VIOLATION and not v.vacuous
 
 
 def test_external_expillu_violated():
     b = example_bundle("expillu")
-    v = cert.check_thm_external(b.system, b.barrier, cfg_for(b, samples=16))
+    v = cert.check_thm_external(b.system, kc_of(b), cfg_for(b, samples=16))
     assert v.status == cert.VIOLATED
     for w in v.witnesses:
         # the distance to K grows at rate sqrt(x2) along the flow
@@ -205,7 +209,7 @@ def test_external_trivial_barrier_vacuous():
     b = example_bundle("expillu")
     B = mo.BarrierCandidate((fl.ScalarField(2, lambda x: -1.0,
                                             grad=lambda x: np.zeros(2)),))
-    v = cert.check_thm_external(b.system, B, cfg_for(b, samples=8))
+    v = cert.check_thm_external(b.system, mo.build_k_complex(b.system, B), cfg_for(b, samples=8))
     assert v.status == cert.NO_VIOLATION
     assert v.vacuous and "vacuous" in v.flags
 
@@ -216,14 +220,14 @@ def test_external_trivial_barrier_vacuous():
 
 def test_lipschitz_thermostat_scalarized():
     b = example_bundle("thermostat")
-    v = cert.check_thm_lipschitz(b.system, b.barrier, cfg_for(b))
+    v = cert.check_thm_lipschitz(b.system, kc_of(b), cfg_for(b))
     assert v.status == cert.NO_VIOLATION
 
 
 def test_lipschitz_agrees_with_thm1_on_smooth_candidate():
     H, B = decay_ball_system()
-    v_smooth = cert.check_thm1(H, B, DECAY_CFG)
-    v_clarke = cert.check_thm_lipschitz(H, B, DECAY_CFG)
+    v_smooth = cert.check_thm1(H, mo.build_k_complex(H, B), DECAY_CFG)
+    v_clarke = cert.check_thm_lipschitz(H, mo.build_k_complex(H, B), DECAY_CFG)
     assert v_smooth.status == v_clarke.status == cert.NO_VIOLATION
 
 
@@ -234,7 +238,7 @@ def test_lipschitz_abs_barrier_violated_for_outward_flow():
     H = mo.HybridSystem(2, full_plane(), F, empty_plane(), G, name="slab")
     B = mo.BarrierCandidate((fl.ScalarField(2, lambda x: abs(float(x[0])) - 1.0,
                                             tag=fl.LIPSCHITZ, name="|x1|-1"),))
-    v = cert.check_thm_lipschitz(H, B, DECAY_CFG)
+    v = cert.check_thm_lipschitz(H, mo.build_k_complex(H, B), DECAY_CFG)
     assert v.status == cert.VIOLATED
     assert any(w.value == pytest.approx(1.0, abs=1e-3) for w in v.witnesses)
 
@@ -271,14 +275,16 @@ def equality_system():
 def test_relaxed_equality_meets_linear_bound():
     H, B = equality_system()
     cfg = cert.CheckConfig(box=((-2.0, 2.0),), samples=16, seed=0)
-    v = cert.check_relaxed(H, B, cfg, cert.UniquenessFunction("linear", k=1.0))
+    v = cert.check_relaxed(H, mo.build_k_complex(H, B), cfg,
+                           cert.UniquenessFunction("linear", k=1.0))
     assert v.status == cert.NO_VIOLATION and not v.vacuous
 
 
 def test_relaxed_equality_fails_halved_bound():
     H, B = equality_system()
     cfg = cert.CheckConfig(box=((-2.0, 2.0),), samples=16, seed=0)
-    v = cert.check_relaxed(H, B, cfg, cert.UniquenessFunction("linear", k=0.5))
+    v = cert.check_relaxed(H, mo.build_k_complex(H, B), cfg,
+                           cert.UniquenessFunction("linear", k=0.5))
     assert v.status == cert.VIOLATED
     for w in v.witnesses:
         assert w.x[0] > 0  # witnesses have B(x) > 0 on the band
@@ -288,7 +294,7 @@ def test_relaxed_thermostat_catalog_rhos():
     b = example_bundle("thermostat")
     for rho in (cert.UniquenessFunction("linear", k=1.0),
                 cert.UniquenessFunction("osgood")):
-        v = cert.check_relaxed(b.system, b.barrier, cfg_for(b, samples=16), rho)
+        v = cert.check_relaxed(b.system, kc_of(b), cfg_for(b, samples=16), rho)
         assert v.status == cert.NO_VIOLATION, rho.label()
 
 
@@ -306,7 +312,7 @@ def test_osgood_values():
 
 def test_invariance_thermostat_prop2():
     b = example_bundle("thermostat")
-    v = cert.check_invariance_completion(b.system, b.barrier, cfg_for(b),
+    v = cert.check_invariance_completion(b.system, kc_of(b), cfg_for(b),
                                          mode="prop2")
     assert v.status == cert.NO_VIOLATION and not v.vacuous
     assert "assumed-no-finite-escape" in v.flags
@@ -314,7 +320,7 @@ def test_invariance_thermostat_prop2():
 
 def test_invariance_bouncing_prop3():
     b = example_bundle("bouncing-ball")
-    v = cert.check_invariance_completion(b.system, b.barrier, cfg_for(b, samples=16),
+    v = cert.check_invariance_completion(b.system, kc_of(b), cfg_for(b, samples=16),
                                          mode="prop3")
     assert v.status == cert.NO_VIOLATION
 
@@ -330,7 +336,7 @@ def test_invariance_detects_outward_flow():
     B = mo.BarrierCandidate((fl.ScalarField(
         2, lambda x: float(x @ x) - 1.0, grad=lambda x: 2.0 * x),))
     cfg = cert.CheckConfig(box=((-2.0, 2.0), (-2.0, 2.0)), samples=16, seed=0)
-    v = cert.check_invariance_completion(H, B, cfg, mode="prop2")
+    v = cert.check_invariance_completion(H, mo.build_k_complex(H, B), cfg, mode="prop2")
     assert v.status == cert.VIOLATED
 
 
@@ -340,7 +346,7 @@ def test_invariance_detects_outward_flow():
 
 def test_contractive_exprj_margins_and_jumps():
     b = example_bundle("exprj")
-    v = cert.check_contractive_c1(b.system, b.barrier, cfg_for(b))
+    v = cert.check_contractive_c1(b.system, kc_of(b), cfg_for(b))
     assert v.status == cert.NO_VIOLATION and not v.vacuous
     flow1 = [e for e in v.evaluations if e.condition == "contract:flow:B1"]
     assert flow1
@@ -357,7 +363,7 @@ def test_contractive_exprj_margins_and_jumps():
 
 def test_contractive_bouncing_violated_by_strictness():
     b = example_bundle("bouncing-ball")
-    v = cert.check_contractive_c1(b.system, b.barrier, cfg_for(b))
+    v = cert.check_contractive_c1(b.system, kc_of(b), cfg_for(b))
     assert v.status == cert.VIOLATED
     ws = [w for w in v.witnesses if w.condition.startswith("contract:flow")]
     assert ws
@@ -373,19 +379,19 @@ def test_contractive_lip_decay_ball():
     H, B = decay_ball_system()
     bar = mo.BarrierCandidate((fl.ScalarField(
         2, lambda x: float(np.linalg.norm(x)) - 1.0, tag=fl.LIPSCHITZ, name="|x|-1"),))
-    v = cert.check_contractive_lip(H, bar, DECAY_CFG)
+    v = cert.check_contractive_lip(H, mo.build_k_complex(H, bar), DECAY_CFG)
     assert v.status == cert.NO_VIOLATION and not v.vacuous
 
 
 def test_contractive_lip_bouncing_violated():
     b = example_bundle("bouncing-ball")
-    v = cert.check_contractive_lip(b.system, b.barrier, cfg_for(b, samples=16))
+    v = cert.check_contractive_lip(b.system, kc_of(b), cfg_for(b, samples=16))
     assert v.status == cert.VIOLATED
 
 
 def test_contractive_lip_vacuous_jump_leg():
     H, B = decay_ball_system()  # D empty
-    v = cert.check_contractive_lip(H, B, DECAY_CFG)
+    v = cert.check_contractive_lip(H, mo.build_k_complex(H, B), DECAY_CFG)
     assert not any(e.condition.endswith("jump:barrier") for e in v.evaluations)
 
 
@@ -395,7 +401,7 @@ def test_contractive_lip_vacuous_jump_leg():
 
 def test_contract_complete_exprj():
     b = example_bundle("exprj")
-    v = cert.check_contractivity_completion(b.system, b.barrier, cfg_for(b))
+    v = cert.check_contractivity_completion(b.system, kc_of(b), cfg_for(b))
     assert v.status == cert.NO_VIOLATION
     evals = [e for e in v.evaluations if e.condition == "contract-complete:flow-in-tc"]
     assert evals  # the isolated point (0, 1) with F = (-2, -4) in T_C
@@ -404,7 +410,7 @@ def test_contract_complete_exprj():
 
 def test_contract_complete_expcsets_exclusion_point():
     b = example_bundle("expCsets")
-    v = cert.check_contractivity_completion(b.system, b.barrier, cfg_for(b))
+    v = cert.check_contractivity_completion(b.system, kc_of(b), cfg_for(b))
     assert v.status == cert.NO_VIOLATION
     evals = [e for e in v.evaluations if e.condition == "contract-complete:flow-in-tc"]
     assert evals
@@ -415,7 +421,7 @@ def test_contract_complete_expcsets_exclusion_point():
 
 def test_contract_complete_vacuous_when_region_empty():
     H, B = decay_ball_system()  # C = R^2: dC empty
-    v = cert.check_contractivity_completion(H, B, DECAY_CFG)
+    v = cert.check_contractivity_completion(H, mo.build_k_complex(H, B), DECAY_CFG)
     assert v.status == cert.NO_VIOLATION
     assert any("vacuous" in n for n in v.notes) or v.vacuous
 
@@ -427,7 +433,7 @@ def test_contract_complete_vacuous_when_region_empty():
 def test_cset_expcsets_both_directions():
     b = example_bundle("expCsets")
     for direction in ("minkowski", "barrier"):
-        v = cert.check_cset(b.system, b.barrier, cfg_for(b, samples=20),
+        v = cert.check_cset(b.system, kc_of(b), cfg_for(b, samples=20),
                             direction=direction)
         assert v.status == cert.NO_VIOLATION, direction
         assert not v.vacuous
@@ -435,7 +441,7 @@ def test_cset_expcsets_both_directions():
 
 def test_cset_unit_ball_rate_minus_one():
     H, B = decay_ball_system()
-    v = cert.check_cset(H, B, DECAY_CFG, direction="minkowski")
+    v = cert.check_cset(H, mo.build_k_complex(H, B), DECAY_CFG, direction="minkowski")
     assert v.status == cert.NO_VIOLATION
     rates = [e.value for e in v.evaluations if e.condition == "cset:mink:flow"]
     assert rates
@@ -453,7 +459,7 @@ def test_cset_square_constant_flow_violated():
         leaves.append(fl.ScalarField(2, (lambda x, _g=gv: float(_g @ x) - 1.0),
                                      grad=(lambda x, _g=gv: _g.copy())))
     B = mo.BarrierCandidate(tuple(leaves))
-    v = cert.check_cset(H, B, DECAY_CFG, direction="minkowski")
+    v = cert.check_cset(H, mo.build_k_complex(H, B), DECAY_CFG, direction="minkowski")
     assert v.status == cert.VIOLATED
 
 
@@ -465,7 +471,7 @@ def test_cset_rejects_shifted_set():
     B = mo.BarrierCandidate((fl.ScalarField(
         2, lambda x: float((x - np.array([5.0, 0.0])) @ (x - np.array([5.0, 0.0]))) - 1.0,
         grad=lambda x: 2.0 * (x - np.array([5.0, 0.0]))),))
-    v = cert.check_cset(H, B, DECAY_CFG, direction="minkowski")
+    v = cert.check_cset(H, mo.build_k_complex(H, B), DECAY_CFG, direction="minkowski")
     assert v.status == cert.INCONCLUSIVE
 
 
@@ -479,16 +485,16 @@ def test_strictness_monotonicity_on_catalog():
     for name in ("exprj", "thermostat", "bouncing-ball", "expillu"):
         b = example_bundle(name)
         cfg = cfg_for(b, samples=12, seed=3)
-        strict = cert.check_contractive_c1(b.system, b.barrier, cfg)
+        strict = cert.check_contractive_c1(b.system, kc_of(b), cfg)
         if strict.status == cert.NO_VIOLATION:
-            loose = cert.check_thm1(b.system, b.barrier, cfg)
+            loose = cert.check_thm1(b.system, kc_of(b), cfg)
             assert loose.status == cert.NO_VIOLATION, name
 
 
 def test_seed_determinism_bit_identical():
     b = example_bundle("thermostat")
-    a = cert.check_thm1(b.system, b.barrier, cfg_for(b, samples=12, seed=5))
-    c = cert.check_thm1(b.system, b.barrier, cfg_for(b, samples=12, seed=5))
+    a = cert.check_thm1(b.system, kc_of(b), cfg_for(b, samples=12, seed=5))
+    c = cert.check_thm1(b.system, kc_of(b), cfg_for(b, samples=12, seed=5))
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(c.to_dict(), sort_keys=True)
 
 
@@ -497,7 +503,7 @@ def test_vacuity_honesty():
     b = example_bundle("expillu")
     B = mo.BarrierCandidate((fl.ScalarField(2, lambda x: -1.0,
                                             grad=lambda x: np.zeros(2)),))
-    v = cert.check_thm1(b.system, B, cfg_for(b, samples=8))
+    v = cert.check_thm1(b.system, mo.build_k_complex(b.system, B), cfg_for(b, samples=8))
     assert v.status == cert.NO_VIOLATION
     assert v.vacuous and "vacuous" in v.flags
     assert v.samples_evaluated == 0
@@ -505,15 +511,15 @@ def test_vacuity_honesty():
 
 def test_scalar_vector_consistency_thermostat():
     b = example_bundle("thermostat")
-    vec = cert.check_thm1(b.system, b.barrier, cfg_for(b, samples=16))
-    scal = cert.check_thm_lipschitz(b.system, b.barrier, cfg_for(b, samples=16))
+    vec = cert.check_thm1(b.system, kc_of(b), cfg_for(b, samples=16))
+    scal = cert.check_thm_lipschitz(b.system, kc_of(b), cfg_for(b, samples=16))
     assert vec.status == scal.status
 
 
 def test_witness_validity_reevaluates():
     # every Violated witness re-checks as a violation standalone
     b = example_bundle("expillu")
-    v = cert.check_thm1(b.system, b.barrier, cfg_for(b, samples=16))
+    v = cert.check_thm1(b.system, kc_of(b), cfg_for(b, samples=16))
     assert v.status == cert.VIOLATED
     for w in v.witnesses:
         x = np.array(w.x)
@@ -526,7 +532,7 @@ def test_witness_validity_reevaluates():
 def test_verdict_echoes_config():
     b = example_bundle("thermostat")
     cfg = cfg_for(b, samples=9, seed=77)
-    v = cert.check_thm1(b.system, b.barrier, cfg)
+    v = cert.check_thm1(b.system, kc_of(b), cfg)
     assert v.config["samples"] == 9
     assert v.config["seed"] == 77
     assert v.config["radius"] == cfg.radius
@@ -551,7 +557,7 @@ def test_uniqueness_function_parse():
 def test_relaxed_bound_binds_on_expillu():
     # sqrt(x2) > rho(x2) = x2 near the boundary: the relaxation does not save it
     b = example_bundle("expillu")
-    v = cert.check_relaxed(b.system, b.barrier, cfg_for(b, samples=16), LINEAR1)
+    v = cert.check_relaxed(b.system, kc_of(b), cfg_for(b, samples=16), LINEAR1)
     assert v.status == cert.VIOLATED
     for w in v.witnesses:
         x2 = w.x[1]
@@ -563,7 +569,7 @@ def test_boundary_eq9_unfiltered_quantifier_exprj():
     # the flow points out of C (value 2 - x1 > 0); the set is still invariant,
     # which is exactly the sufficiency gap the option legs close elsewhere
     b = example_bundle("exprj")
-    v = cert.check_thm_boundary(b.system, b.barrier, cfg_for(b, samples=16),
+    v = cert.check_thm_boundary(b.system, kc_of(b), cfg_for(b, samples=16),
                                 LINEAR1, option="a")
     ws = [w for w in v.witnesses if w.condition == "boundary:eq9:B2"]
     assert ws

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import copy
@@ -520,6 +521,71 @@ def test_simulate_non_finite_options_exit_three(emitted, capsys):
         capsys.readouterr()
         assert main(["simulate", cfg, "--x0", "0,1", *extra]) == 3, extra
         assert "error:" in capsys.readouterr().err, extra
+
+
+def test_simulate_step_over_budget_exits_three(emitted, capsys):
+    # T / step = 1e12 integration steps: refused by the step budget, not run
+    assert main(["simulate", str(emitted("thermostat")), "--x0", "0,1",
+                 "--step", "1e-12", "--horizon", "1,2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget of 100000 steps" in err
+
+
+def test_falsify_step_over_budget_exits_three(emitted, capsys):
+    assert main(["falsify", str(emitted("thermostat")), "--budget", "2",
+                 "--step", "1e-9"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget of 100000 steps" in err
+
+
+def test_check_command_draws_each_pool_once(emitted, monkeypatch):
+    # both cset directions sample K and K cap D; one command shares one K
+    # complex, so each pool is drawn once. A draw nested in another (the
+    # inside pool of sample_boundary) is not counted.
+    from hibarrier import geometry as geo
+
+    draws: Counter = Counter()
+    depth = [0]
+
+    def counted(fn):
+        def draw(S, box, n, *band, seed):
+            if not depth[0]:
+                draws[(S.name, n, band[0] if band else None, seed)] += 1
+            depth[0] += 1
+            try:
+                return fn(S, box, n, *band, seed=seed)
+            finally:
+                depth[0] -= 1
+        return draw
+
+    monkeypatch.setattr(geo, "sample", counted(geo.sample))
+    monkeypatch.setattr(geo, "sample_boundary", counted(geo.sample_boundary))
+    assert main(["check", str(emitted("expCsets")), "--theorem", "cset",
+                 "--samples", "12", "--seed", "0"]) == 0
+    assert ("K", 24, None, 0) in draws  # the C-set spot checks' pool of K
+    assert all(count == 1 for count in draws.values()), draws
+
+
+@pytest.mark.parametrize("system,extra", [
+    ("thermostat", []),
+    ("bouncing-ball", ["--option", "b", "--mode", "prop3"]),
+    ("expCsets", ["--option", "c"]),
+])
+def test_multi_theorem_check_equals_single_checks(system, extra, emitted, tmp_path):
+    # the checks of one command share its K complex's pools; each verdict is
+    # the one a command with that theorem alone gives
+    from hibarrier.cli import THEOREM_IDS
+
+    cfg = str(emitted(system))
+    report = tmp_path / "rep.json"
+
+    def checks(*theorems):
+        flags = [a for t in theorems for a in ("--theorem", t)]
+        main(["check", cfg, *flags, *extra, "--samples", "8", "--seed", "3",
+              "--report", str(report)])
+        return json.loads(report.read_text())["checks"]
+
+    assert checks(*THEOREM_IDS) == [c for t in THEOREM_IDS for c in checks(t)]
 
 
 def test_empty_corner_leg_is_flagged(emitted, tmp_path):

@@ -246,15 +246,6 @@ def test_probe_exprj_immediate_entry():
     assert res.stats["starts"] == 50
 
 
-def test_probe_rejects_interior_start():
-    b = example_bundle("exprj")
-    kc = kc_of(b)
-    with pytest.raises(geo.PreconditionError):
-        sim.probe_contractivity(
-            b.system, kc, sim.FalsifyBudget(starts=4), 0.05, box=b.box, seed=0,
-            starts=[np.array([0.0, 0.2])])  # interior of K
-
-
 def test_probe_requires_positive_window():
     b = example_bundle("exprj")
     kc = kc_of(b)

@@ -23,6 +23,7 @@ import pytest
 from hibarrier import certificates as cert
 from hibarrier.catalog import example_bundle
 from hibarrier.cli import run_named_check
+from hibarrier.model import build_k_complex
 
 _FIXED_SETTINGS = ("eps_act", "cone_tol", "cone_h0", "cone_decay", "cone_count",
                    "cone_hmin", "clarke_radius", "clarke_count", "lipschitz_pairs")
@@ -81,5 +82,6 @@ def test_verdict_digest(system, theorem, kw, digest):
     bundle = example_bundle(system)
     cfg = cert.CheckConfig(box=tuple(tuple(r) for r in bundle.box.tolist()),
                            samples=12, seed=0)
-    [verdict] = run_named_check(theorem, bundle, cfg, **kw)
+    kc = build_k_complex(bundle.system, bundle.barrier)
+    [verdict] = run_named_check(theorem, bundle.system, kc, cfg, **kw)
     assert verdict_digest(verdict) == digest
