@@ -841,7 +841,7 @@ def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: Iterable[np.ndar
     convex, so it is solved once, exactly, and None proves it empty. The
     starts are taken from `starts` in order, and only as far as they are
     used."""
-    affine = all(leaf.constraint.affine for leaf in leaves)
+    affine = _affine(leaves)
     best: tuple[np.ndarray, float] | None = None
     stale = 0
     for i, y0 in enumerate([z] if affine else starts):
@@ -888,6 +888,12 @@ def _local_starts(leaves: Sequence[Leaf], x: np.ndarray) -> list[np.ndarray]:
         return [x.copy(), _newton_feasibility(leaves, x)]
     except EvaluationError:
         return [x.copy()]
+
+
+def _affine(leaves: Sequence[Leaf]) -> bool:
+    """Every leaf is affine: `project_term` solves such a term from z alone
+    and reads none of its starts."""
+    return all(leaf.constraint.affine for leaf in leaves)
 
 
 class _RandomStarts:
@@ -950,8 +956,14 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
         term_starts: list[np.ndarray] = []
         if warm is not None:
             term_starts.append(np.asarray(warm, dtype=float))
-        term_starts.extend(_local_starts(leaves, x))
-        drawn = random_starts.share(max(3, starts) - len(term_starts))
+        if _affine(leaves):
+            # no start is read, so x's restoration is not run; it is counted
+            # as if it succeeded, so that the terms after this one are given
+            # the same shares of the stream
+            drawn = random_starts.share(max(3, starts) - len(term_starts) - 2)
+        else:
+            term_starts.extend(_local_starts(leaves, x))
+            drawn = random_starts.share(max(3, starts) - len(term_starts))
         got = project_term(leaves, x, itertools.chain(term_starts, drawn))
         if got is not None and (best is None or got[1] < best[1]):
             best = got
@@ -996,7 +1008,7 @@ def _feasible_point(S: SetDescription, x: np.ndarray) -> np.ndarray | None:
         except EvaluationError:
             continue  # restoration left the leaves' domain
     for leaves in terms[:2]:
-        got = project_term(leaves, x, _local_starts(leaves, x))
+        got = project_term(leaves, x, [] if _affine(leaves) else _local_starts(leaves, x))
         if got is not None:
             return got[0]
     return None
