@@ -257,21 +257,28 @@ def _jump_legs(col: _Collector, kc: KComplex, H: HybridSystem, cfg: CheckConfig,
 
 
 def _tangent_ratio(S: geo.SetDescription, x: np.ndarray, eta: np.ndarray,
-                   cone: list[np.ndarray] | None, cfg: CheckConfig,
+                   cone: geo.LinearizedCone | None, cfg: CheckConfig,
                    col: _Collector) -> float | None:
-    """0.0 when eta lies in cone, the caller's geo.linearized_cone(S, x), and a
-    measured liminf ratio otherwise; None when the distance solver fails
-    (marked inconclusive).
+    """The cone ratio of eta at x, given the caller's geo.linearized_cone(S,
+    x): 0.0 when eta lies in the cone, else geo.contingent_min_ratio, in
+    closed form where the cone is exact and swept where it is not; None when
+    the distance solver fails (marked inconclusive). The path is flagged
+    `cone:linearized` or `cone:sweep`.
 
-    A linearized non-member is re-confirmed numerically: at sampled points the
-    active-constraint tolerance can attribute a boundary cone to a point that
-    is actually interior.
+    A linearized non-member at a point that is not exact is re-confirmed
+    numerically: at sampled points the active-constraint tolerance can
+    attribute a boundary cone to a point that is actually interior.
     """
-    if cone is not None and not any(float(g @ eta) > 0.0 for g in cone):
+    if cone is not None and cone.contains(eta):
+        col.flag("cone:linearized")
         return 0.0
-    try:
+    if cone is not None and cone.exact:
+        col.flag("cone:linearized")
+    else:
         col.flag("distance-approximate")
-        return geo.contingent_min_ratio(S, x, eta, seed=cfg.seed)
+        col.flag("cone:sweep")
+    try:
+        return geo.contingent_min_ratio(S, x, eta, seed=cfg.seed, cone=cone)
     except geo.NonConvergence:
         col.mark_inconclusive(f"tangent-cone distance solve failed at {x.tolist()}")
         return None
@@ -439,11 +446,12 @@ def check_thm_external(H: HybridSystem, kc: KComplex, cfg: CheckConfig) -> Verdi
         for eta in _filtered_images(H, x, cfg, col):
             try:
                 if base is None:
-                    base = geo.project(kc.K, x, starts=8, seed=cfg.seed)
+                    base = geo.projection(kc.K, x, starts=8, seed=cfg.seed)
                 rate = geo.external_min_ratio(kc.K, x, eta, seed=cfg.seed, base=base)
             except geo.NonConvergence:
                 col.mark_inconclusive(f"external-cone distance solve failed at {x.tolist()}")
                 continue
+            col.flag("cone:linearized" if base.closed_form else "cone:sweep")
             col.add("external:flow", x, rate, geo.CONE_TOL, eta=eta)
     _jump_legs(col, kc, H, cfg, strict=False, prefix="external")
     return col.finish("external", cfg)
@@ -635,7 +643,9 @@ def _corner_emptiness_leg(col: _Collector, kc: KComplex, H: HybridSystem,
                                     else image_samples(H.F, x, cfg.scheme)):
             if not active or any(abs(float(g @ eta)) > cfg.margin_strict for g in grads):
                 continue  # eta transversal to some active level set: not tangent
-            # confirm numerically against the equality description
+            # confirm numerically against the equality description, whose
+            # leaf pairs {c <= 0, -c <= 0} have no linearized cone
+            col.flag("cone:sweep")
             try:
                 ratio = geo.contingent_min_ratio(eq_set, x, eta, seed=cfg.seed)
             except geo.NonConvergence:

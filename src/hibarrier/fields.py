@@ -268,4 +268,4 @@ def filter_by_cone(etas: Iterable[np.ndarray], S,
     if cone is None:
         return [eta for eta in etas
                 if geometry.contingent_min_ratio(S, x, eta) <= geometry.CONE_TOL]
-    return [eta for eta in etas if not any(float(g @ eta) > 0.0 for g in cone)]
+    return [eta for eta in etas if cone.contains(eta)]

@@ -13,7 +13,7 @@ import math
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +33,10 @@ __all__ = [
     "project",
     "minkowski",
     "transversality_check",
+    "LinearizedCone",
     "linearized_cone",
+    "Projection",
+    "projection",
     "contingent_min_ratio",
     "external_min_ratio",
     "sample",
@@ -841,6 +844,13 @@ def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: Iterable[np.ndar
     convex, so it is solved once, exactly, and None proves it empty. The
     starts are taken from `starts` in order, and only as far as they are
     used."""
+    return _project_term(leaves, z, starts, [])
+
+
+def _project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: Iterable[np.ndarray],
+                  answers: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float] | None:
+    """`project_term`, appending the answer (y, |y - z|) of every start that
+    converged to `answers`."""
     affine = _affine(leaves)
     best: tuple[np.ndarray, float] | None = None
     stale = 0
@@ -858,6 +868,7 @@ def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: Iterable[np.ndar
         if max(vals) > _FEAS_TOL:
             continue
         d = float(np.linalg.norm(y - z))
+        answers.append((y, d))
         if best is None or d < best[1] - 1e-12 * (1.0 + best[1]):
             best = (y, d)
             stale = 0
@@ -930,6 +941,30 @@ class _RandomStarts:
                 return self.x + radius * step / np.sqrt(n)
 
 
+class Projection(NamedTuple):
+    """`projection`'s answer: y, d = |x - y|, and whether the starts showed y
+    unique."""
+
+    y: np.ndarray
+    d: float
+    unique: bool
+
+    @property
+    def closed_form(self) -> bool:
+        """x lies off the set and its projection is unique, so the distance
+        is differentiable at x with gradient (x - y)/d."""
+        return self.unique and self.d > 0.0
+
+
+# Another converged answer rivals the closest one, y0 at distance d0, when it
+# lies within _TIE (1 + d0) of d0 at a point over _APART (1 + |y0|) from y0.
+# A start stopped short of y0 on a curved boundary lies within about the
+# square root of its excess distance of y0, so _APART is well above
+# sqrt(_TIE).
+_TIE = 1e-9
+_APART = 1e-4
+
+
 def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
             seed: int = 0, warm: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """(y, d): a closest point y of S (its closure) to x and d = |x - y|, which
@@ -943,12 +978,23 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
     `starts` in all, and stops once two further starts fail to improve; the
     random points are drawn only when a term reaches them (`_RandomStarts`).
     Raises NonConvergence when no start of any term finds a feasible point."""
+    y, d, _ = projection(S, x, starts=starts, seed=seed, warm=warm)
+    return y, d
+
+
+def projection(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
+               seed: int = 0, warm: np.ndarray | None = None) -> Projection:
+    """`project`'s (y, d), and whether y is unique as far as its starts show:
+    no other start that converged, on any term, reaches d at another point
+    (within _TIE and beyond _APART). It costs no projection beyond
+    `project`'s."""
     x = np.asarray(x, dtype=float)
     closed = S.closure()
     if closed.classify(x, 0.0) != Membership.OUTSIDE:
-        return x.copy(), 0.0
+        return Projection(x.copy(), 0.0, True)
     random_starts = _RandomStarts(x, seed)
     best: tuple[np.ndarray, float] | None = None
+    answers: list[tuple[np.ndarray, float]] = []
     bounds = [(_term_lower_bound(leaves, x), leaves) for leaves in closed._terms]
     for bound, leaves in sorted(bounds, key=lambda pair: pair[0]):
         if best is not None and bound > 4.0 * best[1] + 1e-12:
@@ -964,12 +1010,16 @@ def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int =
         else:
             term_starts.extend(_local_starts(leaves, x))
             drawn = random_starts.share(max(3, starts) - len(term_starts))
-        got = project_term(leaves, x, itertools.chain(term_starts, drawn))
+        got = _project_term(leaves, x, itertools.chain(term_starts, drawn), answers)
         if got is not None and (best is None or got[1] < best[1]):
             best = got
     if best is None:
         raise NonConvergence(f"no feasible point found for {S.name or 'set'} near {x.tolist()}")
-    return best
+    y0, d0 = best
+    apart = _APART * (1.0 + float(np.linalg.norm(y0)))
+    unique = not any(d <= d0 + _TIE * (1.0 + d0) and float(np.linalg.norm(y - y0)) > apart
+                     for y, d in answers)
+    return Projection(y0, d0, unique)
 
 
 def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray
@@ -1169,29 +1219,76 @@ def transversality_check(gradients: Sequence[np.ndarray], *,
     return Transversality(feasible, -p / pn if feasible else None, -pn if pn else 0.0)
 
 
-def linearized_cone(S: SetDescription, x: Sequence[float] | np.ndarray) -> list[np.ndarray] | None:
-    """The gradients of the leaves of S active at x (|c(x)| <= EPS_ACT), [] when
-    none is active: when they are transversal, T_S(x) is the set of v with no
-    float(g @ v) > 0.0 (all of R^n for []). None where this reading is not
-    available: S has a union, a leaf is above EPS_ACT at x, or the active
-    gradients fail transversality_check. Leaves are evaluated in tree order
-    up to the first one above EPS_ACT.
-    """
-    leaves = S.flat_intersection_leaves()
-    if leaves is None:
-        return None
+# an active leaf is 0 at x to rounding when |c(x)| <= _ROUNDING (1 + |x|)
+_ROUNDING = 1e-12
+
+
+@dataclass(frozen=True)
+class LinearizedCone:
+    """T_S(x) from first-order data: the union, over the DNF terms of S's
+    closure that hold x, of {v : g @ v <= 0 for each active gradient g of the
+    term}. `exact` when every active leaf is 0 at x to rounding: only then
+    is x on the boundary the gradients describe, so that the distance to the
+    cone is the cone ratio; at a point that EPS_ACT calls active but that
+    lies inside a leaf, a non-member is left to the sweep."""
+
+    terms: tuple[tuple[np.ndarray, ...], ...]
+    exact: bool
+
+    def contains(self, v: np.ndarray) -> bool:
+        """Some term has no float(g @ v) > 0.0."""
+        return any(not any(float(g @ v) > 0.0 for g in term) for term in self.terms)
+
+    def distance(self, v: np.ndarray) -> float:
+        """dist(v, cone): the least over the terms of the distance from v to
+        the term's polyhedral cone, one `_qp_project` with b = 0 each."""
+        z = np.asarray(v, dtype=float).tolist()
+        best = math.inf
+        for term in self.terms:
+            if not term:
+                return 0.0
+            u, _ = _qp_project([g.tolist() for g in term], [0.0] * len(term), z)
+            best = min(best, math.sqrt(_sqdist(u, z)))
+        return best
+
+
+def linearized_cone(S: SetDescription, x: Sequence[float] | np.ndarray) -> LinearizedCone | None:
+    """T_S(x) as a LinearizedCone, or None where this reading is not
+    available: no term of S's closure holds x (every term has a leaf above
+    EPS_ACT there), or some term that holds x has active leaves (|c(x)| <=
+    EPS_ACT) whose gradients fail transversality_check, or an active leaf
+    without an analytic gradient has a kink within its difference step
+    (`_leaf_models`; without a kink, its central difference is its
+    gradient). A term with no active leaf makes the cone all of R^n. Each
+    term's leaves are evaluated in tree order up to the first one above
+    EPS_ACT."""
     x = np.asarray(x, dtype=float)
-    active: list[Leaf] = []
-    for leaf in leaves:
-        v = leaf.constraint.value_checked(x)
-        if v > EPS_ACT:
-            return None
-        if abs(v) <= EPS_ACT:
-            active.append(leaf)
-    grads = [gradient(leaf.constraint, x) for leaf in active]
-    if grads and not transversality_check(grads).feasible:
-        return None
-    return grads
+    tol = _ROUNDING * (1.0 + float(np.linalg.norm(x)))
+    values: dict[int, float] = {}
+    terms: list[tuple[np.ndarray, ...]] = []
+    exact = True
+    for leaves in S.closure()._terms:
+        active: list[tuple[Leaf, float]] = []
+        for leaf in leaves:
+            v = values.get(id(leaf))
+            if v is None:
+                v = values[id(leaf)] = leaf.constraint.value_checked(x)
+            if v > EPS_ACT:
+                break
+            if abs(v) <= EPS_ACT:
+                active.append((leaf, v))
+        else:
+            grads = []
+            for leaf, v in active:
+                models = _leaf_models(leaf.constraint, x, v)
+                if len(models) != 1 or len(models[0]) != 1:
+                    return None
+                grads.append(np.array(models[0][0][0]))
+                exact = exact and abs(v) <= tol
+            if grads and not transversality_check(grads).feasible:
+                return None
+            terms.append(tuple(grads))
+    return LinearizedCone(tuple(terms), exact) if terms else None
 
 
 def _min_ratio(S: SetDescription, x: np.ndarray, v: np.ndarray, seed: int, d0: float,
@@ -1208,29 +1305,42 @@ def _min_ratio(S: SetDescription, x: np.ndarray, v: np.ndarray, seed: int, d0: f
 
 
 def contingent_min_ratio(S: SetDescription, x: Sequence[float] | np.ndarray,
-                         v: Sequence[float] | np.ndarray, *, seed: int = 0) -> float:
-    """min over CONE_H of distance(S, x + h v)/h.
+                         v: Sequence[float] | np.ndarray, *, seed: int = 0,
+                         cone: LinearizedCone | None = None) -> float:
+    """The cone ratio of v at x: liminf over h -> 0 of distance(S, x + h v)/h;
+    v is in the contingent cone T_S(x) when the value is <= CONE_TOL.
 
-    A sampled under-approximation of the liminf in the cone definition;
-    v is in the contingent cone when the value is <= CONE_TOL. Raises
-    NonConvergence if the distance solver fails (caller reports Inconclusive).
+    `cone` is the caller's linearized_cone(S, x). Where it is exact, the
+    ratio is its closed form dist(v, T_S(x)) (`LinearizedCone.distance`).
+    Elsewhere it is swept: min over CONE_H of distance(S, x + h v)/h, a
+    sampled under-approximation of the liminf. Raises NonConvergence if the
+    distance solver fails (caller reports Inconclusive).
     """
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
     if float(np.linalg.norm(v)) == 0.0:
         return 0.0
+    if cone is not None and cone.exact:
+        return cone.distance(v)
     return _min_ratio(S, x, v, seed, 0.0, None)
 
 
 def external_min_ratio(S: SetDescription, x: Sequence[float] | np.ndarray,
                        v: Sequence[float] | np.ndarray, *, seed: int = 0,
-                       base: tuple[np.ndarray, float] | None = None) -> float:
-    """min over CONE_H of (dist(S, x+hv) - dist(S, x))/h; v is in the external
-    cone when the value is <= CONE_TOL. `base` is x's projection
-    project(S, x, starts=8, seed=seed), which a caller that tries several v
-    at one x computes once; it is computed here when not given."""
+                       base: Projection | None = None) -> float:
+    """The rate (d/dh) dist(S, x + h v) at h = 0+; v is in the external cone
+    when the value is <= CONE_TOL. `base` is x's projection
+    projection(S, x, starts=8, seed=seed), which a caller that tries several
+    v at one x computes once; it is computed here when not given.
+
+    Where base.closed_form holds (x off S, its projection y0 unique), the
+    rate is the directional derivative <v, (x - y0)/d0> (Danskin). Elsewhere
+    it is swept: min over CONE_H of (dist(S, x+hv) - dist(S, x))/h."""
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    y0, d0 = project(S, x, starts=8, seed=seed) if base is None else base
-    return _min_ratio(S, x, v, seed, d0, y0)
+    if base is None:
+        base = projection(S, x, starts=8, seed=seed)
+    if base.closed_form:
+        return float(v @ (x - base.y)) / base.d
+    return _min_ratio(S, x, v, seed, base.d, base.y)
 
 
 # ---------------------------------------------------------------------------

@@ -450,8 +450,13 @@ def probe_contractivity(H: HybridSystem, kc: KComplex, budget: FalsifyBudget,
     after the first nontrivial flow step or jump within (0, tau_probe]."""
     if not 0 < tau_probe < math.inf:
         raise geo.PreconditionError("tau_probe must be positive and finite")
+    step = min(budget.horizon.step, tau_probe / 20.0)
+    if tau_probe / step > _STEP_LIMIT:
+        raise BudgetError(f"a probe window --tau {tau_probe:g} at step {step:g} is "
+                          f"{tau_probe / step:.3g} steps, over the budget of "
+                          f"{_STEP_LIMIT} steps")
     pts = kc.pool(kc.K, box, budget.starts, seed, _BOUNDARY_BAND).points
-    horizon = Horizon(tau_probe, 2, min(budget.horizon.step, tau_probe / 20.0))
+    horizon = Horizon(tau_probe, 2, step)
     policies = (SelectionPolicy(Constant(), Constant(), Overlap("jump")),
                 SelectionPolicy(Constant(), Constant(), Overlap("flow")))
 

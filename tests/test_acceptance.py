@@ -264,7 +264,7 @@ def test_acceptance_7_property_suites():
             continue
         numeric = geo.contingent_min_ratio(S, x, v) <= tol
         total += 1
-        if numeric == (not any(float(g @ v) > 0.0 for g in cone)):
+        if numeric == cone.contains(v):
             agree += 1
     assert agree / total >= 0.99
 

@@ -186,6 +186,23 @@ def test_cone_transversality_once_per_point(monkeypatch):
     assert calls == [1] * len(pts)
 
 
+def test_option_b_ratios_in_closed_form_on_expcount():
+    # K cap C is a union on expcount; at each option-b point one term holds
+    # x, with the leaf x1^2 - abs(x2) at 0 away from its kink, so every
+    # ratio is the linearized cone's distance. The sweep it replaces gives
+    # the same values within 2e-6.
+    b = example_bundle("expcount")
+    kc = kc_of(b)
+    v = cert.check_thm_boundary(b.system, kc, cfg_for(b, samples=20), LINEAR1, option="b")
+    assert v.status == cert.VIOLATED
+    assert "cone:linearized" in v.flags and "cone:sweep" not in v.flags
+    ratios = [e for e in v.evaluations if e.condition == "boundary:b:eqraj2"]
+    assert len(ratios) == 20 and any(e.value > geo.CONE_TOL for e in ratios)
+    for e in ratios:
+        swept = geo._min_ratio(kc.KC, np.array(e.x), np.array(e.eta), 0, 0.0, None)
+        assert abs(e.value - min(swept, 1e6)) <= 2e-6
+
+
 # ---------------------------------------------------------------------------
 # external-cone flow condition (check_thm_external)
 

@@ -538,6 +538,15 @@ def test_falsify_step_over_budget_exits_three(emitted, capsys):
     assert err.startswith("error:") and "budget of 100000 steps" in err
 
 
+def test_contractivity_probe_over_budget_names_tau(emitted, capsys):
+    # the probe integrates over --tau at the step of the default --horizon
+    assert main(["falsify", str(emitted("exprj")), "--mode", "contractivity",
+                 "--tau", "1000", "--budget", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: a probe window --tau 1000 at step 0.005 is 2e+05 steps")
+    assert "budget of 100000 steps" in err and "horizon" not in err
+
+
 def test_check_command_draws_each_pool_once(emitted, monkeypatch):
     # both cset directions sample K and K cap D; one command shares one K
     # complex, so each pool is drawn once. A draw nested in another (the

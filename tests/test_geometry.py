@@ -85,18 +85,19 @@ def test_membership_nonfinite_raises():
 
 
 def cone_member(cone, v):
-    """v lies in the linearized cone: no active gradient has float(g @ v) > 0."""
-    return not any(float(g @ np.asarray(v, dtype=float)) > 0.0 for g in cone)
+    """v lies in the linearized cone: some term has no float(g @ v) > 0."""
+    return cone.contains(np.asarray(v, dtype=float))
 
 
 def test_analytic_halfplane():
     S = geo.SetDescription(2, halfspace([0, 1], 0.0))  # x2 <= 0
     cone = geo.linearized_cone(S, [0.0, 0.0])
-    assert [g.tolist() for g in cone] == [[0.0, 1.0]]
+    assert [[g.tolist() for g in term] for term in cone.terms] == [[[0.0, 1.0]]]
+    assert cone.exact
     assert cone_member(cone, [1, -1])
     assert not cone_member(cone, [0, 1])
     # no active leaf: the cone is all of R^n; a leaf above EPS_ACT: no reading
-    assert geo.linearized_cone(S, [0.0, -0.5]) == []
+    assert geo.linearized_cone(S, [0.0, -0.5]).terms == ((),)
     assert geo.linearized_cone(S, [0.0, 0.5]) is None
 
 
@@ -112,10 +113,20 @@ def test_analytic_intersection_with_brute_force_oracle():
     assert cone_member(geo.linearized_cone(S, [0, 0]), v)
 
 
-def test_analytic_not_applicable_on_union():
+def test_linearized_cone_of_a_union():
+    # x1 <= 0 or x2 <= 0: at the origin both terms hold, and the cone is the
+    # union of theirs; at (0, 0.5) only the first holds
     S = geo.SetDescription(2, geo.Union((halfspace([1, 0], 0.0),
                                          halfspace([0, 1], 0.0))))
-    assert geo.linearized_cone(S, [0, 0]) is None
+    cone = geo.linearized_cone(S, [0, 0])
+    assert [[g.tolist() for g in term] for term in cone.terms] == [[[1.0, 0.0]], [[0.0, 1.0]]]
+    assert cone_member(cone, [1, -1]) and cone_member(cone, [-1, 1])
+    assert not cone_member(cone, [1, 2])
+    assert cone.distance(np.array([1.0, 2.0])) == 1.0
+    one = geo.linearized_cone(S, [0, 0.5])
+    assert len(one.terms) == 1 and not cone_member(one, [1, -1])
+    assert one.distance(np.array([3.0, -1.0])) == 3.0
+    assert geo.linearized_cone(S, [0.5, 0.5]) is None  # no term holds x
 
 
 def test_analytic_not_applicable_without_transversality():
@@ -1405,6 +1416,202 @@ def test_a_cone_sweep_that_reaches_no_random_start_never_seeds_the_stream(monkey
     # a cold projection does reach its random starts
     geo.contingent_min_ratio(S, x, v, seed=0)
     assert tags.count("project") == 1
+
+
+# ---------------------------------------------------------------------------
+# Closed-form cone ratios against a fine sweep, and their fallbacks
+
+
+# the sweep's range of h with finer steps, more starts and no stop at the
+# first member: the reference the closed forms are held to
+_FINE_H = tuple(h for h in (1e-2 * 0.8 ** i for i in range(60)) if h >= 1e-6)
+# |closed form - fine sweep| <= _AGREE |v|^2, O(h_min); on 150 draws of each
+# test below the largest difference was 8.1e-7 |v|^2
+_AGREE = 10.0 * _FINE_H[-1]
+
+
+def _fine_sweep(S, x, v, d0=0.0, warm=None):
+    best = math.inf
+    for h in _FINE_H:
+        warm, d = geo.project(S, x + h * v, starts=24, seed=1, warm=warm)
+        best = min(best, (d - d0) / h)
+    return best
+
+
+def _agrees_with_fine_sweep(closed, fine, v):
+    assert abs(closed - fine) <= _AGREE * float(v @ v), (closed, fine)
+    if abs(closed - geo.CONE_TOL) > _AGREE * float(v @ v):
+        assert (closed <= geo.CONE_TOL) == (fine <= geo.CONE_TOL), (closed, fine)
+
+
+def _polyhedron(gs, bs):
+    """The leaves g @ y <= b."""
+    dim = len(gs[0])
+    return geo.Intersection(tuple(geo.Leaf(fl.ScalarField(
+        dim, (lambda x, _g=np.array(g), _b=b: float(_g @ x) - _b),
+        grad=(lambda x, _g=np.array(g): _g.copy()), affine=True)) for g, b in zip(gs, bs)))
+
+
+def _cone_polyhedron(rng, dim):
+    """1 to dim leaves g @ y <= 0 through the origin and two g @ y <= b,
+    b in [0.2, 1], that are not active there."""
+    active = int(rng.integers(1, dim + 1))
+    return _polyhedron(rng.normal(size=(active + 2, dim)),
+                       [0.0] * active + list(rng.uniform(0.2, 1.0, size=2)))
+
+
+def _direction(rng, dim):
+    v = rng.normal(size=dim)
+    return v / np.linalg.norm(v) * float(rng.uniform(0.5, 2.0))
+
+
+def _contingent_agrees(S, x, v):
+    cone = geo.linearized_cone(S, x)
+    assume(cone is not None)
+    assert cone.exact
+    closed = geo.contingent_min_ratio(S, x, v, cone=cone)
+    assert closed == cone.distance(v)
+    assert (closed == 0.0) == cone.contains(v)
+    _agrees_with_fine_sweep(closed, _fine_sweep(S, x, v), v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_contingent_closed_form_matches_a_fine_sweep_on_polyhedra(seed):
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    S = geo.SetDescription(dim, _cone_polyhedron(rng, dim))
+    _contingent_agrees(S, np.zeros(dim), _direction(rng, dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_contingent_closed_form_matches_a_fine_sweep_on_smooth_terms(seed):
+    # the ellipse (x1/a)^2 + (x2/b)^2 <= 1, a disk where a = b, at a
+    # boundary point
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.5, 2.0, size=2)
+    if rng.integers(2):
+        b = a
+    w = np.array([1.0 / a ** 2, 1.0 / b ** 2])
+    S = geo.SetDescription(2, leaf(lambda x: float(w @ (x * x)) - 1.0,
+                                   grad=lambda x: 2.0 * w * x, name="ellipse"))
+    t = float(rng.uniform(0.0, 2.0 * math.pi))
+    _contingent_agrees(S, np.array([a * math.cos(t), b * math.sin(t)]), _direction(rng, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_contingent_closed_form_matches_a_fine_sweep_on_unions(seed):
+    # two polyhedral terms through the origin, or two overlapping disks at a
+    # point where both boundaries cross: the cone is the union of two
+    rng = np.random.default_rng(seed)
+    if rng.integers(2):
+        dim = int(rng.integers(2, 4))
+        S = geo.SetDescription(dim, geo.Union((_cone_polyhedron(rng, dim),
+                                               _cone_polyhedron(rng, dim))))
+        x = np.zeros(dim)
+    else:
+        c, dim = float(rng.uniform(0.2, 0.8)), 2
+        S = geo.SetDescription(2, geo.Union(tuple(
+            leaf(lambda x, _c=np.array([s * c, 0.0]): float((x - _c) @ (x - _c)) - 1.0,
+                 grad=lambda x, _c=np.array([s * c, 0.0]): 2.0 * (x - _c)) for s in (1, -1))))
+        x = np.array([0.0, math.sqrt(1.0 - c * c)])
+        assert len(geo.linearized_cone(S, x).terms) == 2
+    _contingent_agrees(S, x, _direction(rng, dim))
+
+
+def test_contingent_closed_form_of_a_non_member():
+    # on the unit circle at (1, 0), v = (2, 1) leaves at rate 2: dist(v, T) = 2
+    S, x, v = disk(), np.array([1.0, 0.0]), np.array([2.0, 1.0])
+    cone = geo.linearized_cone(S, x)
+    assert cone.exact and not cone.contains(v)
+    closed = geo.contingent_min_ratio(S, x, v, cone=cone)
+    assert closed == 2.0
+    _agrees_with_fine_sweep(closed, _fine_sweep(S, x, v), v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_external_closed_form_matches_a_fine_sweep(seed):
+    # convex sets (a disk, a polyhedron) and two disjoint disks, from points
+    # at distance >= 0.05 where the projection is unique
+    rng = np.random.default_rng(seed)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        c, r = rng.uniform(-1.0, 1.0, size=2), float(rng.uniform(0.3, 1.5))
+        S = geo.SetDescription(2, leaf(lambda x: float((x - c) @ (x - c)) - r * r,
+                                       grad=lambda x: 2.0 * (x - c)))
+    elif kind == 1:
+        S = geo.SetDescription(2, _polyhedron(rng.normal(size=(3, 2)),
+                                              rng.uniform(0.2, 1.0, size=3)))
+    else:
+        S = geo.SetDescription(2, geo.Union(tuple(
+            leaf(lambda x, _c=np.array([s, 0.0]): float((x - _c) @ (x - _c)) - 0.25,
+                 grad=lambda x, _c=np.array([s, 0.0]): 2.0 * (x - _c)) for s in (2.0, -2.0))))
+    x = rng.uniform(-3.0, 3.0, size=2)
+    if kind == 2:
+        assume(abs(x[0]) > 0.1)  # off the line of points equidistant from both disks
+    try:
+        base = geo.projection(S, x, starts=8, seed=0)
+    except geo.NonConvergence:
+        assume(False)
+    assume(base.d >= 0.05)
+    assert base.unique and base.closed_form
+    v = _direction(rng, 2)
+    closed = geo.external_min_ratio(S, x, v, base=base)
+    assert closed == float(v @ (x - base.y)) / base.d
+    _agrees_with_fine_sweep(closed, _fine_sweep(S, x, v, base.d, base.y), v)
+
+
+def _tangent_ratio(S, x, eta):
+    """certificates' cone ratio of eta at x, with the flags of its path."""
+    from hibarrier import certificates as cert
+
+    col = cert._Collector()
+    cfg = cert.CheckConfig(box=((-2.0, 2.0), (-2.0, 2.0)))
+    ratio = cert._tangent_ratio(S, x, np.asarray(eta, dtype=float),
+                                geo.linearized_cone(S, x), cfg, col)
+    return ratio, col.flags
+
+
+def test_external_rate_sweeps_where_the_projection_is_not_unique():
+    # (0, 0.5) is equidistant from two disjoint disks; the rate is the least
+    # over both projections, which one projection's closed form would miss
+    S = geo.SetDescription(2, geo.Union((_expr_leaf("(x1 + 2)^2 + x2^2 - 1"),
+                                         _expr_leaf("(x1 - 2)^2 + x2^2 - 1"))))
+    x = np.array([0.0, 0.5])
+    base = geo.projection(S, x, starts=8, seed=0)
+    assert not base.unique and not base.closed_form
+    # the values of the sweep before the closed forms
+    for v, ratio in (([1.0, 0.0], -0.9699991576276323), ([0.0, -1.0], -0.24025026080447542),
+                     ([0.3, 0.4], -0.19351298394914007)):
+        assert geo.external_min_ratio(S, x, v, seed=0, base=base) == ratio
+        assert geo.external_min_ratio(S, x, v, seed=0) == ratio
+
+
+def test_contingent_ratio_sweeps_near_the_interior():
+    # x2 = -5e-7 is active at EPS_ACT but inside the leaf x2 <= 0: the cone
+    # is not exact, and the sweep measures what the closed form (1.0) would not
+    S, x = geo.SetDescription(2, _expr_leaf("x2")), np.array([0.0, -5e-7])
+    cone = geo.linearized_cone(S, x)
+    assert cone is not None and not cone.exact
+    for eta in ([0.0, 1.0], [1.0, 1.0]):
+        ratio, flags = _tangent_ratio(S, x, eta)
+        assert ratio == 0.5904 and "cone:sweep" in flags and "cone:linearized" not in flags
+
+
+def test_contingent_ratio_sweeps_on_a_kink():
+    # abs(x2) + x1 <= 1 has a kink at (1, 0): its central difference (1, 0)
+    # is no gradient there, so there is no linearized cone
+    S, x = geo.SetDescription(2, _expr_leaf("abs(x2) + x1 - 1")), np.array([1.0, 0.0])
+    assert geo.linearized_cone(S, x) is None
+    for eta, want in (([1.0, 0.5], 1.1180339887496342), ([1.0, 2.0], 2.1213203434966386)):
+        ratio, flags = _tangent_ratio(S, x, eta)
+        assert ratio == want and flags == ["distance-approximate", "cone:sweep"]
+    # away from the kink the central difference is the gradient
+    cone = geo.linearized_cone(S, np.array([0.5, 0.5]))
+    assert [[g.tolist() for g in t] for t in cone.terms] == [[pytest.approx([1.0, 1.0])]]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ caller settings (they became module constants with unchanged values), so
 the digests hold on both sides of that change.
 
 Digests marked "re-recorded" changed when exact small solvers replaced
-SLSQP in the projections, when its fallback was retired, or when the
-Lagrange-Newton loop moved from numpy calls to Python floats, after their
+SLSQP in the projections, when its fallback was retired, when the
+Lagrange-Newton loop moved from numpy calls to Python floats, or when cone
+ratios took closed forms and verdicts flagged the cone path, after their
 whole verdicts were compared with the earlier ones: the same statuses, check names, flags, witness kinds and
 counts, and evaluation counts; the largest difference in a number is noted
 beside each (cone ratios within CONE_TOL, everything else within 1e-7,
@@ -30,21 +31,25 @@ _FIXED_SETTINGS = ("eps_act", "cone_tol", "cone_h0", "cone_decay", "cone_count",
 
 # recorded before the fixed settings became constants
 DIGESTS = [
-    ("exp1", "contract-c1", {},  # violated, 257 evaluations
-     "ec48b7211e0527572431f819c5a0552c86511f711a5228f1162684f3040e195d"),
-    ("thermostat", "contract-c1", {},  # violated, 50 evaluations
-     "5c6c5bda8f24425b55c5d6b65ed65bd9fe521baec94c56e9111308c098aa50bc"),
+    ("exp1", "contract-c1", {},  # violated, 257 evaluations; re-recorded for the
+     # cone:sweep flag, every number unchanged
+     "b348f292e9827dc945769094e487e8e235bfcb814185fa194cd9063a26a3a537"),
+    ("thermostat", "contract-c1", {},  # violated, 50 evaluations; re-recorded for
+     # the cone:sweep flag, every number unchanged
+     "351f14425b14ae4f5dd0d55c5cb98a943b6f9d5a5fc583718db324ee7ceb70aa"),
     ("bouncing-ball", "contract-lip", {},  # violated, 60 evaluations
      "4ae17365caab761c6f395c78d8ef09db57fe767e63d9ee5e4322efc8902ef6ba"),
-    ("thermostat", "contract-lip", {},  # violated, 45 evaluations
-     "a29e99ae1fec32ab7b3e76dac9f5e6efa5e65356247c4942d70fcf2147f85893"),
+    ("thermostat", "contract-lip", {},  # violated, 45 evaluations; re-recorded for
+     # the cone:sweep flag, every number unchanged
+     "2d3e9e454414a6a2dac0c60ef4e97045fb1ad0dfdebf7d466ea468840df4c209"),
     ("expillu", "relaxed", {},  # violated, 12 evaluations
      "c0dae424dceb8bbf767235c4830324334997f8b2902b51a9b8c48ba2378a1444"),
     ("expcount", "boundary", {"option": "a"},  # violated, 58 evaluations; re-recorded, 2.6e-15
      "c6565853ecc6b145857e0f25f8f4b11fa06ce710cc290dcbaabe873c612d11a3"),
     ("expcount", "boundary", {"option": "b"},  # violated, 46 evaluations; re-recorded,
-     # cone ratios 6.5e-7, other numbers 2.6e-15
-     "a3b2a54f67604010e0e33073bb0e38720f58ff2c3189068b9e9938212253196d"),
+     # cone ratios 6.5e-7, other numbers 2.6e-15; re-recorded with the closed-form
+     # cone, 9.8e-7 (a cone ratio), cone:linearized in place of distance-approximate
+     "ed67df385edf3075bbc254ed2a15027d940c666db7860203351ed1a0ff2d797c"),
     ("expcount-fixed", "boundary", {"option": "c"},  # inconclusive, 34 evaluations;
      # re-recorded, 2.6e-15; re-recorded without the SLSQP fallback, 3.1e-15
      "7eaac114916d86c6311ce4e9aff8a6ffa63dc1c25aff23daa045a7cfb711ce72"),
@@ -56,16 +61,20 @@ DIGESTS = [
      # where SLSQP stopped up to 6.2e-7 away
      "515faa6bf1ff09ba7f86f6d21fda71ae9a383b4c58cd30ec9ab3dbf170e8385d"),
     ("exp1", "invariance", {"mode": "prop3"},  # no_violation_found, 9 evaluations;
-     # re-recorded, 2.7e-10; re-recorded on floats, 3.7e-40 (a point's x2 near 0)
-     "308d916d2851051249322d5b09c46ba0e6fb211628e27feb2844f5ada0dbe3fc"),
+     # re-recorded, 2.7e-10; re-recorded on floats, 3.7e-40 (a point's x2 near 0);
+     # re-recorded for the cone:linearized and cone:sweep flags, numbers unchanged
+     "f2902ab6e2837233decc03e65266f79ad57af4c147ab7ecfee3a436df87ad628"),
     ("expCsets", "contract-complete", {},  # no_violation_found, 8 evaluations;
      # re-recorded: the points where D's strict leaf vanishes are now projections
      # onto its zero set, (-1, -1) to 3e-12, where SLSQP stopped 3.1e-5 away;
-     # re-recorded on floats, 1.1e-16
-     "0d7caef3c3c4775c03836646bf2278ccd86ee82f258683327b3b944b03b7c1ec"),
+     # re-recorded on floats, 1.1e-16; re-recorded for the cone:linearized flag,
+     # numbers unchanged
+     "d19e1f7700bdb7bd6a79da3f6ccedf96f0f3596476ec06934101d25fe53531da"),
     ("exp1nwbis", "external", {},  # no_violation_found, 180 evaluations; re-recorded, 1.1e-10;
-     # re-recorded on floats, 1.7e-14 (an external-cone ratio)
-     "426de17b86c2d3b5c636ed0b69944e40bcf124cbde93d1e87d9000440e4e3b90"),
+     # re-recorded on floats, 1.7e-14 (an external-cone ratio); re-recorded with the
+     # closed-form rate <eta, (x - y0)/d0>, 4.0e-3 (an external-cone rate of a member,
+     # which the sweep overstated), and the cone:linearized flag
+     "877f5b5422fdfa8e788019eb61a2a8f888d86f80ba006d8bbd76372596bcef44"),
 ]
 
 
