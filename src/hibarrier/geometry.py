@@ -332,28 +332,17 @@ class SetDescription:
         return out
 
     def leaves(self) -> list[Leaf]:
-        return _tree_leaves(self.root, (Intersection, Union))
-
-    def flat_intersection_leaves(self) -> list[Leaf] | None:
-        """Leaves when the tree is a pure intersection (no unions), else None."""
-        return _tree_leaves(self.root, Intersection)
-
-
-def _tree_leaves(root: Node, inner) -> list[Leaf] | None:
-    """The leaves in tree order, or None when the tree has an inner node
-    that is not of the type(s) `inner`. An explicit stack, not a recursive
-    closure, so that a call leaves no reference cycle behind."""
-    out: list[Leaf] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node)
-        elif isinstance(node, inner):
-            stack.extend(reversed(node.children))
-        else:
-            return None
-    return out
+        """The leaves in tree order, by an explicit stack, not a recursive
+        closure, so that a call leaves no reference cycle behind."""
+        out: list[Leaf] = []
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                out.append(node)
+            else:
+                stack.extend(reversed(node.children))
+        return out
 
 
 def _constant_value(leaf: Leaf) -> float | None:
