@@ -588,21 +588,14 @@ def _violation(fields: list[ScalarField], y: np.ndarray) -> float:
 Row = tuple[list[float], float]  # a linear model c + g u <= 0 of a leaf, as (g, c)
 
 
-def _leaf_models(f: ScalarField, y: np.ndarray, value: float) -> list[list[Row]]:
-    """Linear models of a leaf at y for a Newton step: alternatives, each a
-    list of rows (g, c) that must all hold as c + g u <= 0. A leaf with an
-    analytic gradient has one row, (gradient, value). Without one, the row is
-    the central difference at gradient()'s step h (`fd_step`, with the norm
-    summed in floats), unless the one-sided differences
-    disagree along exactly one coordinate: a kink of abs, max or min then
-    lies within the step h, and the central difference would average its
-    sides, which can hold the iterate on the kink. Each side is then the
-    line through the two points beyond the kink, at h and 2h, extended to y,
-    which models the side exactly however close the kink lies. A convex
-    kink (a max) needs both sides' rows; a concave one (a min) holds on
-    either side, so each side is an alternative."""
-    if f.grad is not None:
-        return [[(gradient(f, y).tolist(), value)]]
+def _difference_row(f: ScalarField, y: np.ndarray, value: float
+                    ) -> tuple[list[float], list[tuple[int, np.ndarray, float, float]]]:
+    """The central difference of f at y at gradient()'s step h (`fd_step`,
+    with the norm summed in floats), and the kinks within h: each coordinate
+    i, with its step e and the values f(y + e), f(y - e), along which the
+    one-sided differences disagree, as they do across a kink of abs, max or
+    min. A kink that runs along k coordinates (min(x1, x2) on x1 = x2) shows
+    along all k."""
     x = y.tolist()
     h = 1e-6 * (1.0 + math.sqrt(_dot(x, x)))
     g = []
@@ -617,12 +610,30 @@ def _leaf_models(f: ScalarField, y: np.ndarray, value: float) -> list[list[Row]]
             kinks.append((i, e, up, down))
     if not all(map(math.isfinite, g)):
         raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", y)
+    return g, kinks
+
+
+def _leaf_models(f: ScalarField, y: np.ndarray, value: float) -> list[list[Row]]:
+    """Linear models of a leaf at y for a Newton step: alternatives, each a
+    list of rows (g, c) that must all hold as c + g u <= 0. A leaf with an
+    analytic gradient has one row, (gradient, value). Without one, the row is
+    the central difference (`_difference_row`), unless a kink lies within
+    its step along exactly one coordinate: the central difference would
+    average the kink's sides, which can hold the iterate on the kink. Each
+    side is then the line through the two points beyond the kink, at h and
+    2h, extended to y, which models the side exactly however close the kink
+    lies. A convex kink (a max) needs both sides' rows; a concave one (a
+    min) holds on either side, so each side is an alternative."""
+    if f.grad is not None:
+        return [[(gradient(f, y).tolist(), value)]]
+    g, kinks = _difference_row(f, y, value)
     if len(kinks) != 1:
         return [[(g, value)]]
     (i, e, up, down), = kinks
     far_up, far_down = float(f.fn(y + 2.0 * e)), float(f.fn(y - 2.0 * e))
     if not math.isfinite(far_up) or not math.isfinite(far_down):
         raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", y)
+    h = float(e[i])
     right, left = g[:], g[:]
     right[i], left[i] = (far_up - up) / h, (down - far_down) / h
     sides = [(right, 2.0 * up - far_up), (left, 2.0 * down - far_down)]
@@ -881,9 +892,14 @@ def _term_lower_bound(leaves: Sequence[Leaf], x: np.ndarray) -> float:
     return lb
 
 
+# the count of `_local_starts` where the restoration succeeds
+_LOCAL_STARTS = 2
+
+
 def _local_starts(leaves: Sequence[Leaf], x: np.ndarray) -> list[np.ndarray]:
-    """x and its Newton restoration onto the leaves; the restoration is left
-    out when it steps where a leaf cannot be evaluated."""
+    """x and its Newton restoration onto the leaves, _LOCAL_STARTS starts;
+    the restoration is left out when it steps where a leaf cannot be
+    evaluated."""
     try:
         return [x.copy(), _newton_feasibility(leaves, x)]
     except EvaluationError:
@@ -995,7 +1011,7 @@ def projection(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: in
             # no start is read, so x's restoration is not run; it is counted
             # as if it succeeded, so that the terms after this one are given
             # the same shares of the stream
-            drawn = random_starts.share(max(3, starts) - len(term_starts) - 2)
+            drawn = random_starts.share(max(3, starts) - len(term_starts) - _LOCAL_STARTS)
         else:
             term_starts.extend(_local_starts(leaves, x))
             drawn = random_starts.share(max(3, starts) - len(term_starts))
@@ -1245,12 +1261,13 @@ def linearized_cone(S: SetDescription, x: Sequence[float] | np.ndarray) -> Linea
     """T_S(x) as a LinearizedCone, or None where this reading is not
     available: no term of S's closure holds x (every term has a leaf above
     EPS_ACT there), or some term that holds x has active leaves (|c(x)| <=
-    EPS_ACT) whose gradients fail transversality_check, or an active leaf
-    without an analytic gradient has a kink within its difference step
-    (`_leaf_models`; without a kink, its central difference is its
-    gradient). A term with no active leaf makes the cone all of R^n. Each
-    term's leaves are evaluated in tree order up to the first one above
-    EPS_ACT."""
+    EPS_ACT) whose gradients fail transversality_check (an exactly opposed
+    pair g, -g fails it without the solve), or an active leaf without an
+    analytic gradient has a kink within its difference step along any
+    coordinate (`_difference_row`; without a kink, its central difference
+    is its gradient). A term with no active leaf makes the cone all of
+    R^n. Each term's leaves are evaluated in tree order up to the first one
+    above EPS_ACT."""
     x = np.asarray(x, dtype=float)
     tol = _ROUNDING * (1.0 + float(np.linalg.norm(x)))
     values: dict[int, float] = {}
@@ -1269,11 +1286,17 @@ def linearized_cone(S: SetDescription, x: Sequence[float] | np.ndarray) -> Linea
         else:
             grads = []
             for leaf, v in active:
-                models = _leaf_models(leaf.constraint, x, v)
-                if len(models) != 1 or len(models[0]) != 1:
-                    return None
-                grads.append(np.array(models[0][0][0]))
+                f = leaf.constraint
+                if f.grad is not None:
+                    grads.append(gradient(f, x))
+                else:
+                    g, kinks = _difference_row(f, x, v)
+                    if kinks:
+                        return None
+                    grads.append(np.array(g))
                 exact = exact and abs(v) <= tol
+            if any(np.array_equal(g, -g2) for g, g2 in itertools.combinations(grads, 2)):
+                return None  # an opposed pair puts 0 in conv{g_i}: no v passes
             if grads and not transversality_check(grads).feasible:
                 return None
             terms.append(tuple(grads))
