@@ -1011,11 +1011,13 @@ def _qp_systems(draw):
     return A, b, z
 
 
-def _unique_multipliers(A, b, y):
-    """Whether the multipliers of the rows active at y are unique up to the
-    split between a row and its multiples or opposite: the active rows'
-    distinct directions are linearly independent. Where more of them meet
-    at y, which of them joins the active set is a tie that rounding breaks."""
+def _active_sigma(A, b, y):
+    """The least singular value of the distinct unit directions of the rows
+    active at y (1.0 for at most one), which a row's multiples and opposite
+    share. Above 1e-6 the active rows' multipliers are unique up to the
+    split between a row and its multiples or opposite; at or below it more
+    rows meet at y, and which of them joins the active set is a tie that
+    rounding breaks."""
     rows = []
     for a, bi in zip(np.array(A), b):
         norm = float(np.linalg.norm(a))
@@ -1024,7 +1026,7 @@ def _unique_multipliers(A, b, y):
         u = a / norm
         if not any(np.abs(u - r).max() <= 1e-12 or np.abs(u + r).max() <= 1e-12 for r in rows):
             rows.append(u)
-    return len(rows) <= 1 or np.linalg.svd(np.array(rows), compute_uv=False)[-1] > 1e-6
+    return 1.0 if len(rows) <= 1 else float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
 
 
 @settings(max_examples=1500, deadline=None)
@@ -1036,6 +1038,11 @@ def _unique_multipliers(A, b, y):
 @example(system=([[1.0, 0.0, 0.0], [-1.0, -0.0, -0.0], [0.0, 1.0, 0.0],
                   [0.000109375, 1.0, 0.0], [0.0, -1.0, 0.0]],
                  [0.0, 0.0, 0.0, -0.001, 0.0], [0.0, 0.0, 0.0]))
+# rows 1.8e-4 apart in angle, both active: the multipliers (0.49952316284,
+# 0.00047683716) come out 5.1e-9 off in the kernel and 3.0e-9 in the
+# reference, each with y within 1.3e-12 of (1.5, 0, 1.5)
+@example(system=([[1.0, 0.0, -1.0], [1.0, -0.00025, -1.0]], [0.0, 0.0],
+                 [2.0, -1.192092896e-07, 1.0]))
 def test_qp_project_matches_the_numpy_reference(system):
     A, b, z = system
     ref = _qp_project_ref(np.array(A), np.array(b), np.array(z))
@@ -1046,9 +1053,16 @@ def test_qp_project_matches_the_numpy_reference(system):
     y, lam = np.array(got[0]), np.array(got[1])
     assert np.abs(y - ref[0]).max() <= 1e-12 * (1.0 + float(np.linalg.norm(z)))
     assert lam.min() >= 0.0
-    if not _unique_multipliers(A, b, ref[0]):
+    sigma = _active_sigma(A, b, ref[0])
+    if sigma <= 1e-6:
         lam, ref = np.array(A).T @ lam, (ref[0], np.array(A).T @ ref[1])
-    assert np.abs(lam - ref[1]).max() <= 1e-9 * max(1.0, float(np.abs(ref[1]).max()))
+    tol = 1e-9 * max(1.0, float(np.abs(ref[1]).max()))
+    if sigma > 1e-6:
+        # z - y fixes the multipliers of active rows that nearly depend on
+        # each other only to its error over sigma, and each kernel's y is
+        # within 1e-12 (1 + |z|) of the answer
+        tol = max(tol, 2e-12 * (1.0 + float(np.linalg.norm(z))) / sigma)
+    assert np.abs(lam - ref[1]).max() <= tol
 
 
 @st.composite
