@@ -1013,8 +1013,9 @@ def _qp_systems(draw):
 
 def _active_sigma(A, b, y):
     """The least singular value of the distinct unit directions of the rows
-    active at y (1.0 for at most one), which a row's multiples and opposite
-    share. Above 1e-6 the active rows' multipliers are unique up to the
+    active at y (1.0 for at most one; 0.0 for more than the dimension, which
+    depend on each other), which a row's multiples and opposite share.
+    Above 1e-6 the active rows' multipliers are unique up to the
     split between a row and its multiples or opposite; at or below it more
     rows meet at y, and which of them joins the active set is a tie that
     rounding breaks."""
@@ -1026,7 +1027,11 @@ def _active_sigma(A, b, y):
         u = a / norm
         if not any(np.abs(u - r).max() <= 1e-12 or np.abs(u + r).max() <= 1e-12 for r in rows):
             rows.append(u)
-    return 1.0 if len(rows) <= 1 else float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
+    if len(rows) <= 1:
+        return 1.0
+    if len(rows) > len(y):
+        return 0.0
+    return float(np.linalg.svd(np.array(rows), compute_uv=False)[-1])
 
 
 @settings(max_examples=1500, deadline=None)
@@ -1043,6 +1048,10 @@ def _active_sigma(A, b, y):
 # reference, each with y within 1.3e-12 of (1.5, 0, 1.5)
 @example(system=([[1.0, 0.0, -1.0], [1.0, -0.00025, -1.0]], [0.0, 0.0],
                  [2.0, -1.192092896e-07, 1.0]))
+# three rows meet at y = 0 in the plane: which two of them carry the
+# multipliers is a tie
+@example(system=([[1.0, 0.0], [0.9995, -0.001], [0.0, 0.0], [-0.5, -1.0]],
+                 [0.0, 0.0, 0.0, 0.0], [0.0, -1.0]))
 def test_qp_project_matches_the_numpy_reference(system):
     A, b, z = system
     ref = _qp_project_ref(np.array(A), np.array(b), np.array(z))
