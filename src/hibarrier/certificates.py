@@ -259,20 +259,13 @@ def _jump_legs(col: _Collector, kc: KComplex, H: HybridSystem, cfg: CheckConfig,
 def _tangent_ratio(S: geo.SetDescription, x: np.ndarray, eta: np.ndarray,
                    cone: geo.LinearizedCone | None, cfg: CheckConfig,
                    col: _Collector) -> float | None:
-    """The cone ratio of eta at x, given the caller's geo.linearized_cone(S,
-    x): 0.0 when eta lies in the cone, else geo.contingent_min_ratio, in
-    closed form where the cone is exact and swept where it is not; None when
-    the distance solver fails (marked inconclusive). The path is flagged
-    `cone:linearized` or `cone:sweep`.
-
-    A linearized non-member at a point that is not exact is re-confirmed
-    numerically: at sampled points the active-constraint tolerance can
-    attribute a boundary cone to a point that is actually interior.
+    """geo.contingent_min_ratio of eta at x, given the caller's
+    geo.linearized_cone(S, x), or None for no cone; None when the distance
+    solver fails (marked inconclusive). The path is flagged `cone:linearized`
+    where the cone answers (eta a member, or the cone exact), else
+    `cone:sweep` with `distance-approximate`.
     """
-    if cone is not None and cone.contains(eta):
-        col.flag("cone:linearized")
-        return 0.0
-    if cone is not None and cone.exact:
+    if cone is not None and (cone.exact or cone.contains(eta)):
         col.flag("cone:linearized")
     else:
         col.flag("distance-approximate")
@@ -380,7 +373,7 @@ def check_thm_boundary(H: HybridSystem, kc: KComplex, cfg: CheckConfig,
     pair_targets: list[tuple[np.ndarray, np.ndarray]] = []
     for x in band_pts:
         try:
-            y, _ = geo.project(kc.KC, x, starts=8, seed=cfg.seed)
+            y = geo.projection(kc.KC, x, starts=8, seed=cfg.seed).y
         except geo.NonConvergence:
             col.mark_inconclusive(f"projection onto d(K cap C) failed at {x.tolist()}")
             continue
@@ -645,11 +638,8 @@ def _corner_emptiness_leg(col: _Collector, kc: KComplex, H: HybridSystem,
                 continue  # eta transversal to some active level set: not tangent
             # confirm numerically against the equality description, whose
             # leaf pairs {c <= 0, -c <= 0} have no linearized cone
-            col.flag("cone:sweep")
-            try:
-                ratio = geo.contingent_min_ratio(eq_set, x, eta, seed=cfg.seed)
-            except geo.NonConvergence:
-                col.mark_inconclusive(f"corner tangency solve failed at {x.tolist()}")
+            ratio = _tangent_ratio(eq_set, x, eta, None, cfg, col)
+            if ratio is None:
                 continue
             # violation when eta is tangent to the corner set (ratio small)
             col.add(f"{prefix}:corner-empty", x, -min(ratio, 1e6), -geo.CONE_TOL, eta=eta)

@@ -82,9 +82,17 @@ def _report_doc(command: str, source: str, bundle: SystemBundle,
     }
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _write_report(path: str | None, doc: dict) -> None:
     if path:
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _exit_from_verdicts(verdicts: list[cert.Verdict]) -> int:
@@ -194,7 +202,7 @@ def cmd_simulate(args) -> int:
     arc = sim.solve(bundle.system, x0, policy, horizon, kc=kc, seed=args.seed)
     csv_text = sim.arc_to_csv(arc, bundle.barrier)
     if args.out:
-        Path(args.out).write_text(csv_text)
+        _write(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     print(f"termination: {arc.termination}"
@@ -231,14 +239,14 @@ def cmd_falsify(args) -> int:
             "start": result.start.tolist(),
         }
         if args.witness and result.arc is not None:
-            Path(args.witness).write_text(sim.arc_to_csv(result.arc, kc.barrier))
+            _write(args.witness, sim.arc_to_csv(result.arc, kc.barrier))
     elif found:
         print(f"boundary lingering from {result.witness_start.tolist()}: "
               f"{result.note}")
         extra["lingering"] = {"start": result.witness_start.tolist(),
                               "note": result.note}
         if args.witness and result.witness_arc is not None:
-            Path(args.witness).write_text(sim.arc_to_csv(result.witness_arc, kc.barrier))
+            _write(args.witness, sim.arc_to_csv(result.witness_arc, kc.barrier))
     elif args.mode == "invariance":
         print(f"no counterexample found ({result.stats})")
     else:
@@ -297,7 +305,7 @@ def cmd_examples(args) -> int:
     if args.action == "emit":
         doc = catalog.example_config(args.name)
         out = Path(args.dir or ".") / f"{args.name}.json"
-        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write(out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"wrote {out}")
         return EXIT_OK
     # run

@@ -100,13 +100,12 @@ def negated(f: ScalarField) -> ScalarField:
         grad_rows=None if f.grad_rows is None else (lambda X: -f.grad_rows(X)))
 
 
-def fd_step(x: np.ndarray, scale: float = 1e-6) -> float:
+def fd_step(x: np.ndarray) -> float:
     # balances truncation against rounding at double precision
-    return scale * (1.0 + float(np.linalg.norm(x)))
+    return 1e-6 * (1.0 + float(np.linalg.norm(x)))
 
 
-def gradient(f: ScalarField, x: Sequence[float] | np.ndarray,
-             h: float | None = None) -> np.ndarray:
+def gradient(f: ScalarField, x: Sequence[float] | np.ndarray) -> np.ndarray:
     """Analytic gradient when present, else central finite differences."""
     x = np.asarray(x, dtype=float)
     if f.grad is not None:
@@ -114,7 +113,7 @@ def gradient(f: ScalarField, x: Sequence[float] | np.ndarray,
         if not all(map(math.isfinite, g.tolist())):
             raise EvaluationError(f"gradient of {f.name or '<anon>'} is non-finite", x)
         return g
-    g = _central_difference(f, x, fd_step(x) if h is None else h)
+    g = _central_difference(f, x, fd_step(x))
     if not all(map(math.isfinite, g.tolist())):
         raise EvaluationError(f"finite-difference gradient of {f.name or '<anon>'} is non-finite", x)
     return g

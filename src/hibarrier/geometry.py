@@ -30,7 +30,6 @@ __all__ = [
     "SetDescription",
     "SampleResult",
     "Transversality",
-    "project",
     "minkowski",
     "transversality_check",
     "LinearizedCone",
@@ -835,23 +834,18 @@ def _feasible(fields: list[ScalarField], y: list[float]) -> np.ndarray | None:
     return ya if max(f.value_checked(ya) for f in fields) <= _FEAS_TOL else None
 
 
-def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: Iterable[np.ndarray]
+def project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: Iterable[np.ndarray],
+                 answers: list[tuple[np.ndarray, float]] | None = None
                  ) -> tuple[np.ndarray, float] | None:
     """Closest point to z on the intersection of leaf sublevel sets, or None.
 
     Each start runs Lagrange-Newton; a start it does not converge from, or
     whose leaves cannot be evaluated, is skipped. A term of affine leaves is
-    convex, so it is solved once, exactly, and None proves it empty. The
-    starts are taken from `starts` in order, and only as far as they are
-    used."""
-    return _project_term(leaves, z, starts, [])
-
-
-def _project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: Iterable[np.ndarray],
-                  answers: list[tuple[np.ndarray, float]]) -> tuple[np.ndarray, float] | None:
-    """`project_term`, appending the answer (y, |y - z|) of every start that
-    converged to `answers`."""
-    affine = _affine(leaves)
+    convex, so it is solved once, exactly, from z alone, and None proves it
+    empty. The starts are taken from `starts` in order, and only as far as
+    they are used: an affine term takes none. The answer (y, |y - z|) of
+    every start that converged is appended to `answers` when it is given."""
+    affine = all(leaf.constraint.affine for leaf in leaves)
     best: tuple[np.ndarray, float] | None = None
     stale = 0
     for i, y0 in enumerate([z] if affine else starts):
@@ -868,7 +862,8 @@ def _project_term(leaves: Sequence[Leaf], z: np.ndarray, starts: Iterable[np.nda
         if max(vals) > _FEAS_TOL:
             continue
         d = float(np.linalg.norm(y - z))
-        answers.append((y, d))
+        if answers is not None:
+            answers.append((y, d))
         if best is None or d < best[1] - 1e-12 * (1.0 + best[1]):
             best = (y, d)
             stale = 0
@@ -892,28 +887,25 @@ def _term_lower_bound(leaves: Sequence[Leaf], x: np.ndarray) -> float:
     return lb
 
 
-# the count of `_local_starts` where the restoration succeeds
+# the most starts `_local_starts` yields; each term's share of the random
+# stream leaves room for them, whether or not the term reads them
 _LOCAL_STARTS = 2
 
 
-def _local_starts(leaves: Sequence[Leaf], x: np.ndarray) -> list[np.ndarray]:
-    """x and its Newton restoration onto the leaves, _LOCAL_STARTS starts;
-    the restoration is left out when it steps where a leaf cannot be
-    evaluated."""
+def _local_starts(leaves: Sequence[Leaf], x: np.ndarray) -> Iterator[np.ndarray]:
+    """x, then its Newton restoration onto the leaves, run only when a term
+    solver reaches it; the restoration is left out when it steps where a
+    leaf cannot be evaluated."""
+    yield x.copy()
     try:
-        return [x.copy(), _newton_feasibility(leaves, x)]
+        y = _newton_feasibility(leaves, x)
     except EvaluationError:
-        return [x.copy()]
-
-
-def _affine(leaves: Sequence[Leaf]) -> bool:
-    """Every leaf is affine: `project_term` solves such a term from z alone
-    and reads none of its starts."""
-    return all(leaf.constraint.affine for leaf in leaves)
+        return
+    yield y
 
 
 class _RandomStarts:
-    """`project`'s seed-tagged random starts around x, drawn on demand. Each
+    """`projection`'s seed-tagged random starts around x, drawn on demand. Each
     term is given its share of one stream, `count` starts, as if every share
     were drawn when the term is reached; a start is drawn only when the term
     uses it, after the draws of the starts before it in the stream, so that
@@ -930,7 +922,7 @@ class _RandomStarts:
     def share(self, count: int) -> Iterator[np.ndarray]:
         """The next `count` starts of the stream, each drawn when reached."""
         first = self.shared
-        self.shared += max(count, 0)
+        self.shared += count
         return (self._draw(index) for index in range(first, first + count))
 
     def _draw(self, index: int) -> np.ndarray:
@@ -970,52 +962,39 @@ _TIE = 1e-9
 _APART = 1e-4
 
 
-def project(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
-            seed: int = 0, warm: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """(y, d): a closest point y of S (its closure) to x and d = |x - y|, which
-    approximates inf_{y in S} |x - y| from above.
+def projection(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
+               seed: int = 0, warm: np.ndarray | None = None) -> Projection:
+    """A closest point y of S (its closure) to x, d = |x - y|, which
+    approximates inf_{y in S} |x - y| from above, and whether y is unique as
+    far as the starts show: no other start that converged, on any term,
+    reaches d at another point (within _TIE and beyond _APART).
 
     Each DNF term of S (`SetDescription._terms`) is projected onto by
     `project_term`, in the order of a linearized distance bound, skipping a
     term whose bound is over 4 d of the best so far. A term of affine leaves
     is an exact QP. Any other term runs Lagrange-Newton from `warm`, x, x's
-    Newton restoration onto the term and seed-tagged random points, up to
-    `starts` in all, and stops once two further starts fail to improve; the
-    random points are drawn only when a term reaches them (`_RandomStarts`).
-    Raises NonConvergence when no start of any term finds a feasible point."""
-    y, d, _ = projection(S, x, starts=starts, seed=seed, warm=warm)
-    return y, d
-
-
-def projection(S: SetDescription, x: Sequence[float] | np.ndarray, *, starts: int = 16,
-               seed: int = 0, warm: np.ndarray | None = None) -> Projection:
-    """`project`'s (y, d), and whether y is unique as far as its starts show:
-    no other start that converged, on any term, reaches d at another point
-    (within _TIE and beyond _APART). It costs no projection beyond
-    `project`'s."""
+    Newton restoration onto the term (`_local_starts`) and seed-tagged random
+    points, and stops once two further starts fail to improve. Each term's
+    share of the random stream is max(3, starts) less the warm start and
+    _LOCAL_STARTS, and its points are drawn only when the term reaches them
+    (`_RandomStarts`). Raises NonConvergence when no start of any term finds
+    a feasible point."""
     x = np.asarray(x, dtype=float)
     closed = S.closure()
     if closed.classify(x, 0.0) != Membership.OUTSIDE:
         return Projection(x.copy(), 0.0, True)
     random_starts = _RandomStarts(x, seed)
+    head = [] if warm is None else [np.asarray(warm, dtype=float)]
+    share = max(3, starts) - len(head) - _LOCAL_STARTS
     best: tuple[np.ndarray, float] | None = None
     answers: list[tuple[np.ndarray, float]] = []
     bounds = [(_term_lower_bound(leaves, x), leaves) for leaves in closed._terms]
     for bound, leaves in sorted(bounds, key=lambda pair: pair[0]):
         if best is not None and bound > 4.0 * best[1] + 1e-12:
             continue  # cannot beat the incumbent (heuristic prune)
-        term_starts: list[np.ndarray] = []
-        if warm is not None:
-            term_starts.append(np.asarray(warm, dtype=float))
-        if _affine(leaves):
-            # no start is read, so x's restoration is not run; it is counted
-            # as if it succeeded, so that the terms after this one are given
-            # the same shares of the stream
-            drawn = random_starts.share(max(3, starts) - len(term_starts) - _LOCAL_STARTS)
-        else:
-            term_starts.extend(_local_starts(leaves, x))
-            drawn = random_starts.share(max(3, starts) - len(term_starts))
-        got = _project_term(leaves, x, itertools.chain(term_starts, drawn), answers)
+        term_starts = itertools.chain(head, _local_starts(leaves, x),
+                                      random_starts.share(share))
+        got = project_term(leaves, x, term_starts, answers)
         if got is not None and (best is None or got[1] < best[1]):
             best = got
     if best is None:
@@ -1033,8 +1012,8 @@ def feasible_point(S: SetDescription, x: Sequence[float] | np.ndarray
     restoration on each DNF term in the order of a linearized distance bound,
     then, as fallback, `project_term` on the two most promising terms from x
     and its restoration. A term whose restoration leaves its leaves' domain
-    is skipped. Cheap enough for samplers; use project() when the minimizer
-    itself matters.
+    is skipped. Cheap enough for samplers; use projection() when the
+    minimizer itself matters.
 
     Given an (N, n) block, returns the list of the N rows' answers, equal to
     calling feasible_point on each row in order (and raising where that
@@ -1063,7 +1042,7 @@ def _feasible_point(S: SetDescription, x: np.ndarray) -> np.ndarray | None:
         except EvaluationError:
             continue  # restoration left the leaves' domain
     for leaves in terms[:2]:
-        got = project_term(leaves, x, [] if _affine(leaves) else _local_starts(leaves, x))
+        got = project_term(leaves, x, _local_starts(leaves, x))
         if got is not None:
             return got[0]
     return None
@@ -1309,7 +1288,7 @@ def _min_ratio(S: SetDescription, x: np.ndarray, v: np.ndarray, seed: int, d0: f
     <= CONE_TOL; each projection starts warm from the previous one."""
     best = np.inf
     for h in CONE_H:
-        warm, d = project(S, x + h * v, starts=6, seed=seed, warm=warm)
+        warm, d, _ = projection(S, x + h * v, starts=6, seed=seed, warm=warm)
         best = min(best, (d - d0) / h)
         if best <= CONE_TOL:
             break
@@ -1322,14 +1301,15 @@ def contingent_min_ratio(S: SetDescription, x: Sequence[float] | np.ndarray,
     """The cone ratio of v at x: liminf over h -> 0 of distance(S, x + h v)/h;
     v is in the contingent cone T_S(x) when the value is <= CONE_TOL.
 
-    `cone` is the caller's linearized_cone(S, x). Where it is exact, the
-    ratio is its closed form dist(v, T_S(x)) (`LinearizedCone.distance`).
-    Elsewhere it is swept: min over CONE_H of distance(S, x + h v)/h, a
-    sampled under-approximation of the liminf. Raises NonConvergence if the
-    distance solver fails (caller reports Inconclusive).
+    `cone` is the caller's linearized_cone(S, x). A member of it has ratio
+    0.0. Where the cone is exact, any other v has the closed form
+    dist(v, T_S(x)) (`LinearizedCone.distance`). Elsewhere the ratio is
+    swept: min over CONE_H of distance(S, x + h v)/h, a sampled
+    under-approximation of the liminf. Raises NonConvergence if the distance
+    solver fails (caller reports Inconclusive).
     """
     x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    if float(np.linalg.norm(v)) == 0.0:
+    if float(np.linalg.norm(v)) == 0.0 or (cone is not None and cone.contains(v)):
         return 0.0
     if cone is not None and cone.exact:
         return cone.distance(v)
@@ -1439,12 +1419,6 @@ class SampleResult:
     achieved: int
     short: bool
     used_projection: bool = False
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def in_box(x: np.ndarray, box: np.ndarray) -> bool:

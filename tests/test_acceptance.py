@@ -250,7 +250,7 @@ def test_acceptance_7_property_suites():
         dim = int(rng.integers(2, 4))
         S = random_polyhedron(dim)
         try:
-            x, _ = geo.project(S, rng.normal(size=dim) * 2.0, starts=4)
+            x = geo.projection(S, rng.normal(size=dim) * 2.0, starts=4).y
         except geo.NonConvergence:
             continue
         v = rng.normal(size=dim)

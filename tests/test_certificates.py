@@ -203,6 +203,17 @@ def test_option_b_ratios_in_closed_form_on_expcount():
         assert abs(e.value - min(swept, 1e6)) <= 2e-6
 
 
+def test_corner_emptiness_sweep_is_flagged_distance_approximate():
+    # thermostat's corner leg confirms tangency by sweeping its equality
+    # description; like every swept tangent-cone ratio, it is flagged
+    # distance-approximate
+    b = example_bundle("thermostat")
+    col = cert._Collector()
+    cert._corner_emptiness_leg(col, kc_of(b), b.system, cfg_for(b, samples=4),
+                               prefix="contract")
+    assert col.flags == ["distance-approximate", "cone:sweep"]
+
+
 # ---------------------------------------------------------------------------
 # external-cone flow condition (check_thm_external)
 

@@ -284,6 +284,31 @@ def test_emit_round_trips_catalog(tmp_path):
             assert np.allclose(loaded.barrier.values(x), ref.barrier.values(x))
 
 
+def test_emit_equals_the_bench_inputs(tmp_path):
+    # the benchmark runs the committed copies in bench/systems
+    bench = Path(__file__).resolve().parents[1] / "bench" / "systems"
+    for name in EXAMPLE_IDS:
+        assert main(["examples", "emit", name, "--dir", str(tmp_path)]) == 0
+        assert (tmp_path / f"{name}.json").read_bytes() == \
+            (bench / f"{name}.json").read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{exp1}", "--samples", "2", "--report", "{out}"],
+    ["simulate", "{thermostat}", "--x0", "0,1", "--out", "{out}"],
+    ["falsify", "{expillu}", "--budget", "20", "--horizon", "1,2", "--step", "1e-3",
+     "--witness", "{out}"],
+    ["examples", "emit", "exp1", "--dir", "{out}"],
+], ids=["report", "out", "witness", "emit"])
+def test_unwritable_output_path_exit_three(emitted, tmp_path, capsys, argv):
+    # a path under a missing directory cannot be written
+    paths = {name: str(emitted(name)) for name in ("exp1", "thermostat", "expillu")}
+    out = tmp_path / "missing" / "out"
+    code = main([a.format(out=out, **paths) for a in argv])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
 def test_repeat_runs_byte_identical(emitted, tmp_path):
     # thermostat has two barrier components, so thm1 runs two flow legs; every
     # CLI run builds its own KComplex, so no cached pool is shared

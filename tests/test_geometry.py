@@ -176,14 +176,14 @@ def test_external_disk():
 
 def test_distance_disk_radial():
     S = disk()
-    y, d = geo.project(S, [3, 0])
+    y, d, _ = geo.projection(S, [3, 0])
     assert d == pytest.approx(2.0, abs=1e-9)
     assert y == pytest.approx([1.0, 0.0], abs=1e-9)
 
 
 def test_distance_inside_is_zero():
     S = disk()
-    y, d = geo.project(S, [0.3, -0.2])
+    y, d, _ = geo.projection(S, [0.3, -0.2])
     assert d == 0.0
     assert y == pytest.approx([0.3, -0.2], abs=0)
 
@@ -198,20 +198,20 @@ def test_distance_box_corner_with_grid_oracle():
         cands.extend([(t, 1.0), (t, -1.0), (1.0, t), (-1.0, t)])
     oracle = min(np.hypot(x[0] - a, x[1] - b) for a, b in cands)
     assert oracle == pytest.approx(np.sqrt(2.0), abs=1e-7)
-    y, d = geo.project(S, x)
+    y, d, _ = geo.projection(S, x)
     assert d == pytest.approx(oracle, abs=1e-7)
     assert y == pytest.approx([1.0, 1.0], abs=1e-7)
 
 
 def test_distance_strict_leaf_uses_closure():
     S = geo.SetDescription(2, leaf(lambda x: float(x @ x) - 1.0, strict=True))
-    assert geo.project(S, [2, 0])[1] == pytest.approx(1.0, abs=1e-9)
+    assert geo.projection(S, [2, 0]).d == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nonconvergence_on_empty_set():
     S = geo.SetDescription(2, leaf(lambda x: 1.0, grad=lambda x: np.zeros(2)))
     with pytest.raises(geo.NonConvergence):
-        geo.project(S, [0.0, 0.0])
+        geo.projection(S, [0.0, 0.0])
 
 
 def test_distance_project_consistency_random():
@@ -220,7 +220,7 @@ def test_distance_project_consistency_random():
     pts = rng.uniform(-3, 3, size=(20, 2))
     ds = []
     for x in pts:
-        y, d = geo.project(S, x)
+        y, d, _ = geo.projection(S, x)
         assert np.linalg.norm(x - y) == pytest.approx(d, abs=1e-9)
         ds.append(d)
     # 1-Lipschitz on sampled pairs
@@ -437,7 +437,7 @@ def test_cone_oracle_equivalence_random_polyhedra():
         S = _random_polyhedron(rng, dim)
         outside = rng.normal(size=dim) * 2.0
         try:
-            x, _ = geo.project(S, outside, starts=4)
+            x = geo.projection(S, outside, starts=4).y
         except geo.NonConvergence:
             continue
         v = rng.normal(size=dim)
@@ -485,7 +485,7 @@ def test_closure_under_intersection_lemma():
 def test_distance_zero_iff_member(x1, x2):
     S = disk()
     x = np.array([x1, x2])
-    _, d = geo.project(S, x)
+    d = geo.projection(S, x).d
     if S.classify(x, 0.0) != geo.Membership.OUTSIDE:
         assert d == 0.0
     else:
@@ -509,7 +509,7 @@ def test_constant_leaves_settle_their_terms(monkeypatch):
     terms = S.closure()._terms
     assert terms is S.closure()._terms  # built once per set
     assert [[leaf.constraint.name for leaf in t] for t in terms] == [["x2 - 1"]]
-    y, d = geo.project(S, [0.0, 3.0])
+    y, d, _ = geo.projection(S, [0.0, 3.0])
     assert d == pytest.approx(2.0, abs=1e-9)
     # a set with no term left samples nothing, without classifying a draw
     empty = geo.SetDescription(2, geo.Intersection((_expr_leaf("x1"), _expr_leaf("1"))))
@@ -570,9 +570,9 @@ def _slsqp_project_term(leaves, z, starts, maxiter):
 
 
 def _term_starts(leaves, z, rng, count=6):
-    """project()'s start list for one term: z, its Newton restoration and
+    """projection()'s start list for one term: z, its Newton restoration and
     random points around z."""
-    starts = geo._local_starts(leaves, z)
+    starts = list(geo._local_starts(leaves, z))
     scale = 1.0 + float(np.linalg.norm(z))
     while len(starts) < count:
         starts.append(z + scale * float(rng.uniform(0.05, 1.5))
@@ -701,7 +701,7 @@ def test_vanishing_gradient_converges_without_scipy(scipy_refused):
     # the gradient of (|x|^2 - 1)^2 vanishes on its zero set, the unit circle,
     # and at the origin, where Newton has no step from x itself
     S = geo.SetDescription(2, _expr_leaf("(x1^2 + x2^2 - 1)^2"))
-    y, d = geo.project(S, [0.0, 0.0])
+    y, d, _ = geo.projection(S, [0.0, 0.0])
     assert d == pytest.approx(1.0, abs=1e-4)
     assert abs(float(y @ y) - 1.0) <= 1e-4
 
@@ -785,7 +785,7 @@ def test_answer_where_the_barrier_gradient_vanishes(scipy_refused):
         assert got is not None
         assert z[1] <= got[1] <= float(np.linalg.norm(z))
     b = example_bundle("expcount")
-    y, d = geo.project(build_k_complex(b.system, b.barrier).KC, z)
+    y, d, _ = geo.projection(build_k_complex(b.system, b.barrier).KC, z)
     x1 = 3.4618350587115943e-4
     assert z[1] <= d <= float(np.linalg.norm([x1 - z[0], -x1 * x1 - z[1]])) + 1e-12
 
@@ -846,7 +846,7 @@ def test_evaluation_error_in_one_start_does_not_abort_the_projection():
     S = geo.SetDescription(2, geo.Intersection((_expr_leaf("log(x1) + x2"),
                                                 _expr_leaf("x1 - 2"))))
     x = np.array([0.01, 10.0])
-    y, d = geo.project(S, x)
+    y, d, _ = geo.projection(S, x)
     assert S.classify(y, 1e-9) != geo.Membership.OUTSIDE
     assert d == pytest.approx(float(np.linalg.norm(y - x)), abs=1e-15)
     assert d == pytest.approx(0.0099546, abs=1e-6)
@@ -1119,7 +1119,7 @@ def test_curvature_factor_and_solves_match_numpy(curvature, w):
 ])
 def test_degenerate_steps_do_not_raise_out_of_project(text):
     S = geo.SetDescription(2, _expr_leaf(text))
-    y, d = geo.project(S, [0.0, 0.0])
+    y, d, _ = geo.projection(S, [0.0, 0.0])
     assert d == pytest.approx(1.0, abs=1e-4)
 
 
@@ -1372,8 +1372,9 @@ def test_kernels_do_not_depend_on_the_builtin_sum(monkeypatch):
     assert [_bits(_run(call)) for call in calls] == builtin
 
 
-# project() against a copy of its former loop, which drew every term's random
-# starts before projecting onto the term
+# projection() against a copy of its former loop, which drew every term's
+# random starts before projecting onto the term: max(3, starts) less the warm
+# start and _LOCAL_STARTS, whether or not x's restoration succeeds
 
 
 def _project_eager_ref(S, x, *, starts=16, seed=0, warm=None):
@@ -1390,9 +1391,10 @@ def _project_eager_ref(S, x, *, starts=16, seed=0, warm=None):
         term_starts = []
         if warm is not None:
             term_starts.append(np.asarray(warm, dtype=float))
+        share = max(3, starts) - len(term_starts) - geo._LOCAL_STARTS
         term_starts.extend(geo._local_starts(leaves, x))
         scale = 1.0 + float(np.linalg.norm(x))
-        while len(term_starts) < max(3, starts):
+        for _ in range(share):
             radius = scale * float(rng.uniform(0.05, 1.5))
             term_starts.append(x + radius * rng.normal(size=S.n) / np.sqrt(S.n))
         got = geo.project_term(leaves, x, term_starts)
@@ -1417,12 +1419,29 @@ def test_project_draws_the_starts_of_the_eager_loop_on_catalog_sets():
             for x in geo._box_draws(rng, wide, 6):
                 starts, seed = int(rng.integers(1, 17)), int(rng.integers(0, 1000))
                 for warm in (None, geo._box_draws(rng, b.box, 1)[0]):
-                    new = _outcome(lambda: geo.project(S, x, starts=starts, seed=seed, warm=warm))
+                    new = _outcome(lambda: geo.projection(S, x, starts=starts, seed=seed,
+                                                          warm=warm)[:2])
                     ref = _outcome(lambda: _project_eager_ref(S, x, starts=starts, seed=seed,
                                                               warm=warm))
                     assert new == ref, (name, S.name, x, starts, seed, warm)
                     projected += S.closure().classify(x, 0.0) == geo.Membership.OUTSIDE
     assert projected >= 200
+
+
+def test_a_failed_restoration_leaves_the_term_its_share(monkeypatch):
+    # x's restoration onto log(x1) + 10 <= 0 steps from x1 = 1 to x1 = -9,
+    # where the leaf cannot be evaluated; the term's share of the random
+    # stream is still max(3, starts) less _LOCAL_STARTS
+    S = geo.SetDescription(2, _expr_leaf("log(x1) + 10"))
+    x = np.array([1.0, 0.0])
+    assert len(list(geo._local_starts(S.closure()._terms[0], x))) == 1
+    shares = []
+    share = geo._RandomStarts.share
+    monkeypatch.setattr(geo._RandomStarts, "share",
+                        lambda self, count: shares.append(count) or share(self, count))
+    y, d, _ = geo.projection(S, x, starts=16)
+    assert shares == [16 - geo._LOCAL_STARTS]
+    assert y[0] == pytest.approx(math.exp(-10.0), rel=1e-9)
 
 
 def test_a_cone_sweep_that_reaches_no_random_start_never_seeds_the_stream(monkeypatch):
@@ -1466,7 +1485,7 @@ _AGREE = 10.0 * _FINE_H[-1]
 def _fine_sweep(S, x, v, d0=0.0, warm=None):
     best = math.inf
     for h in _FINE_H:
-        warm, d = geo.project(S, x + h * v, starts=24, seed=1, warm=warm)
+        warm, d, _ = geo.projection(S, x + h * v, starts=24, seed=1, warm=warm)
         best = min(best, (d - d0) / h)
     return best
 
@@ -1632,6 +1651,15 @@ def test_contingent_ratio_sweeps_near_the_interior():
     for eta in ([0.0, 1.0], [1.0, 1.0]):
         ratio, flags = _tangent_ratio(S, x, eta)
         assert ratio == 0.5904 and "cone:sweep" in flags and "cone:linearized" not in flags
+
+
+def test_contingent_ratio_of_a_member_of_an_inexact_cone_is_zero():
+    # (0, 5e-7) lies 5e-7 outside x2 <= 0, where the cone is not exact;
+    # (1, 0) is a member of it, which the sweep would put at about 5e-5
+    S, x = geo.SetDescription(2, _expr_leaf("x2")), np.array([0.0, 5e-7])
+    cone = geo.linearized_cone(S, x)
+    assert cone is not None and not cone.exact and cone.contains(np.array([1.0, 0.0]))
+    assert geo.contingent_min_ratio(S, x, [1.0, 0.0], cone=cone) == 0.0
 
 
 def test_contingent_ratio_sweeps_on_a_kink():

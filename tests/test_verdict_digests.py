@@ -32,16 +32,19 @@ _FIXED_SETTINGS = ("eps_act", "cone_tol", "cone_h0", "cone_decay", "cone_count",
 # recorded before the fixed settings became constants
 DIGESTS = [
     ("exp1", "contract-c1", {},  # violated, 257 evaluations; re-recorded for the
-     # cone:sweep flag, every number unchanged
-     "b348f292e9827dc945769094e487e8e235bfcb814185fa194cd9063a26a3a537"),
+     # cone:sweep flag, every number unchanged; re-recorded for the corner leg's
+     # distance-approximate flag, flags only, numbers unchanged
+     "67a5cf38972876fbe90d5610b0e90908baf5aaac3e63aadf9e322c196479c875"),
     ("thermostat", "contract-c1", {},  # violated, 50 evaluations; re-recorded for
-     # the cone:sweep flag, every number unchanged
-     "351f14425b14ae4f5dd0d55c5cb98a943b6f9d5a5fc583718db324ee7ceb70aa"),
+     # the cone:sweep flag, every number unchanged; re-recorded for the corner
+     # leg's distance-approximate flag, flags only, numbers unchanged
+     "e61bc50f1e2b63d05045e9f130c52731ffbdd0550f45055a2f31d3d5bd46366c"),
     ("bouncing-ball", "contract-lip", {},  # violated, 60 evaluations
      "4ae17365caab761c6f395c78d8ef09db57fe767e63d9ee5e4322efc8902ef6ba"),
     ("thermostat", "contract-lip", {},  # violated, 45 evaluations; re-recorded for
-     # the cone:sweep flag, every number unchanged
-     "2d3e9e454414a6a2dac0c60ef4e97045fb1ad0dfdebf7d466ea468840df4c209"),
+     # the cone:sweep flag, every number unchanged; re-recorded for the corner
+     # leg's distance-approximate flag, flags only, numbers unchanged
+     "b94d29eb9d942e167990bd6a1cf765b5a07b23a68ce97b0ca6bf8b66fb93ea77"),
     ("expillu", "relaxed", {},  # violated, 12 evaluations
      "c0dae424dceb8bbf767235c4830324334997f8b2902b51a9b8c48ba2378a1444"),
     ("expcount", "boundary", {"option": "a"},  # violated, 58 evaluations; re-recorded, 2.6e-15
